@@ -1,12 +1,14 @@
 //! What one round of a workload produces, how it fails, and the statistics
 //! and host probes the report is built from.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use pgssi_common::stats::HistSnapshot;
 use pgssi_common::Error;
 use pgssi_engine::StatsReport;
 
+use crate::rng::Rng;
 use crate::trace::Span;
 
 /// A correctness check that did not hold, or an error the workload does not
@@ -51,6 +53,33 @@ pub fn engine<T>(r: Result<T, Error>, call: &str) -> Result<T, Stop> {
             Stop::Fatal(Failure::new("unexpected-error", format!("{call}: {e}")))
         }
     })
+}
+
+/// A round's transactions, numbered `0..total`, handed to whichever client
+/// asks next. Transaction `i` draws its inputs from generator stream `1 + i`
+/// (stream 0 makes the load), so the seed fixes the set of transactions
+/// whichever client runs each. The clients stay busy until the work is
+/// gone, so a round's time is not that of its slowest client.
+pub struct Work {
+    next: AtomicU64,
+    total: u64,
+    seed: u64,
+}
+
+impl Work {
+    pub fn new(seed: u64, total: u64) -> Work {
+        Work {
+            next: AtomicU64::new(0),
+            total,
+            seed,
+        }
+    }
+
+    /// The generator of the next transaction, or `None` once all are taken.
+    pub fn take(&self) -> Option<Rng> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.total).then(|| Rng::new(self.seed, 1 + i))
+    }
 }
 
 /// Attempts a logical transaction may take before it counts as failed.
@@ -166,6 +195,10 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+pub fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
 pub fn median(xs: &[f64]) -> f64 {
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
@@ -233,16 +266,25 @@ pub fn ref_kernel_ms() -> f64 {
 }
 
 /// Rows per committed transaction of an initial load.
-pub const LOAD_BATCH: usize = 1024;
+pub const LOAD_BATCH: i64 = 1024;
 
-/// Insert `rows` into `table` through the public API, `LOAD_BATCH` rows per
-/// committed serializable transaction.
-pub fn load(db: &pgssi_engine::Database, table: &str, rows: &[pgssi_common::Row]) -> Outcome<()> {
+/// Insert rows `0..n` into `table` through the public API, `LOAD_BATCH`
+/// rows per committed serializable transaction. `row(i)` makes row `i` as
+/// its batch is loaded, so the benchmark never holds the table itself and
+/// peak RSS stays the engine's.
+pub fn load(
+    db: &pgssi_engine::Database,
+    table: &str,
+    n: i64,
+    mut row: impl FnMut(i64) -> pgssi_common::Row,
+) -> Outcome<()> {
     let fail = |e: Error| Failure::new("load", format!("{table}: {e}"));
-    for batch in rows.chunks(LOAD_BATCH) {
+    let mut i = 0;
+    while i < n {
         let mut t = db.begin(pgssi_engine::IsolationLevel::Serializable);
-        for row in batch {
-            t.insert(table, row.clone()).map_err(fail)?;
+        for _ in 0..LOAD_BATCH.min(n - i) {
+            t.insert(table, row(i)).map_err(fail)?;
+            i += 1;
         }
         t.commit().map_err(fail)?;
     }

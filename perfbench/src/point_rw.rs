@@ -1,11 +1,11 @@
 //! `point-rw`: the short-transaction hot path, and the place where the
 //! commit-order section is contended.
 //!
-//! Two client threads on the embedded API run a fixed number of serializable
-//! transactions each over one 262,144-row table, larger than the CPU caches,
-//! with uniform keys. 90% are read transactions of four point `get`s that
-//! are *not* declared READ ONLY, so they take the full SIREAD path; 10% read
-//! a row and write it back incremented. No server, no fsync, no range locks.
+//! Two client threads on the embedded API share a fixed number of
+//! serializable transactions over one 262,144-row table, larger than the
+//! CPU caches, with uniform keys. 90% are read transactions of four point
+//! `get`s that are *not* declared READ ONLY, so they take the full SIREAD
+//! path; 10% read a row and write it back incremented. No server, no fsync, no range locks.
 //!
 //! Check: after the work, Σv equals the loaded sum plus the number of
 //! committed updates.
@@ -16,13 +16,14 @@ use std::time::Instant;
 use pgssi_common::{Key, Value};
 use pgssi_engine::{Database, IsolationLevel, TableDef, Transaction};
 
-use crate::measure::{engine, load, run_logical, Failure, Outcome, Round, Stop, Tally};
+use crate::measure::{engine, load, run_logical, Failure, Outcome, Round, Stop, Tally, Work};
 use crate::rng::Rng;
 use crate::trace::{Call, Tracer};
 
 pub const ROWS: i64 = 262_144;
 pub const CLIENTS: usize = 2;
-pub const TXNS_PER_CLIENT: u64 = 20_000;
+/// Transactions per round, shared by the clients.
+pub const TXNS: u64 = 40_000;
 /// Share of transactions that update a row, %.
 pub const WRITE_PCT: u64 = 10;
 pub const READS_PER_TXN: usize = 4;
@@ -38,34 +39,34 @@ fn value_of(row: &[Value]) -> Outcome<i64> {
         .ok_or_else(|| Failure::new("point-rw.row-shape", format!("bad row {row:?}")))
 }
 
-/// One round on a fresh database, `txns_per_client` transactions per client.
-pub fn round(seed: u64, txns_per_client: u64, traced: bool) -> Outcome<Round> {
+/// One round on a fresh database, `txns` transactions in all.
+pub fn round(seed: u64, txns: u64, traced: bool) -> Outcome<Round> {
     let mut round = Round::default();
     let started = Instant::now();
     let db = Database::open();
     db.create_table(TableDef::new(TABLE, &["k", "v"], vec![0]))
         .map_err(|e| Failure::new("load", e.to_string()))?;
     let mut rng = Rng::new(seed, 0);
-    let rows: Vec<_> = (0..ROWS)
-        .map(|k| vec![Value::Int(k), Value::Int(rng.key(1000))])
-        .collect();
-    let loaded_sum: i64 = rows.iter().map(|r| r[1].as_int().unwrap_or(0)).sum();
-    load(&db, TABLE, &rows)?;
-    drop(rows);
+    let mut loaded_sum = 0;
+    load(&db, TABLE, ROWS, |k| {
+        let v = rng.key(1000);
+        loaded_sum += v;
+        vec![Value::Int(k), Value::Int(v)]
+    })?;
     round.setup = started.elapsed();
 
     let base = db.stats_report();
+    let queue = Work::new(seed, txns);
     let barrier = Barrier::new(CLIENTS + 1);
     let epoch = Instant::now();
     let (outs, work) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let (db, barrier) = (&db, &barrier);
+                let (db, queue, barrier) = (&db, &queue, &barrier);
                 s.spawn(move || {
                     let mut tracer = Tracer::new(epoch, traced);
-                    let rng = Rng::new(seed, 1 + c as u64);
                     barrier.wait();
-                    let out = client(db, rng, c as u64, txns_per_client, &mut tracer);
+                    let out = client(db, queue, c as u64, &mut tracer);
                     out.map(|(tally, updates)| (tally, updates, tracer.into_spans()))
                 })
             })
@@ -106,14 +107,9 @@ pub fn round(seed: u64, txns_per_client: u64, traced: bool) -> Outcome<Round> {
     Ok(round)
 }
 
-/// One client's fixed work. Returns its tally and committed updates.
-fn client(
-    db: &Database,
-    mut rng: Rng,
-    client: u64,
-    txns: u64,
-    tracer: &mut Tracer,
-) -> Outcome<(Tally, u64)> {
+/// One client's share of the round's work. Returns its tally and committed
+/// updates.
+fn client(db: &Database, queue: &Work, client: u64, tracer: &mut Tracer) -> Outcome<(Tally, u64)> {
     let mut tally = Tally::default();
     let mut updates = 0;
     let mut seq = 0u64;
@@ -121,7 +117,7 @@ fn client(
         seq += 1;
         (client << 48) | seq
     };
-    for _ in 0..txns {
+    while let Some(mut rng) = queue.take() {
         if rng.percent(WRITE_PCT) {
             let k = rng.key(ROWS);
             let ok = run_logical(&mut tally, true, &mut next_id, |id| {

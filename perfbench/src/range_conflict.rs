@@ -7,7 +7,9 @@
 //! half of them declared READ ONLY; 25% are writers that read a range and
 //! then insert or delete one key. A writer claims its key when it is
 //! planned and holds it until it commits, so no two open writers share a
-//! key and nothing blocks. The table holds 4,096 rows (it fits in cache);
+//! key and nothing blocks. The table holds 131,072 rows, so that its load
+//! takes long enough to time, but every transaction stays within its first
+//! 4,096 rows: the hot part fits in cache and the ranges overlap often.
 //! `Database::vacuum` runs every `VACUUM_EVERY` commits.
 //!
 //! It exercises B+-tree gap and page SIREAD locks with tuple→page promotion,
@@ -25,13 +27,16 @@ use std::time::{Duration, Instant};
 use pgssi_common::{Key, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, TableDef, Transaction};
 
-use crate::measure::{engine, load, median, Failure, Outcome, Round, Stop, MAX_ATTEMPTS};
+use crate::measure::{engine, load, Failure, Outcome, Round, Stop, MAX_ATTEMPTS};
 use crate::rng::Rng;
 use crate::trace::{Call, Tracer};
 
-pub const ROWS: i64 = 4096;
+pub const ROWS: i64 = 131_072;
+/// Rows the transactions touch: the first ones of the table.
+pub const HOT_ROWS: i64 = 4096;
 /// Rows sit at even keys, so every odd key is a gap a writer can fill.
-pub const KEY_SPACE: i64 = 2 * ROWS;
+/// Transactions draw their keys from `0..KEY_SPACE`, the hot rows' keys.
+pub const KEY_SPACE: i64 = 2 * HOT_ROWS;
 /// Key width of a range read: 64 rows at the initial density.
 pub const RANGE: i64 = 128;
 pub const SLOTS: usize = 8;
@@ -39,11 +44,7 @@ pub const TXNS: u64 = 20_000;
 pub const WRITER_PCT: u64 = 25;
 /// Share of readers declared READ ONLY, %.
 pub const READ_ONLY_PCT: u64 = 50;
-pub const VACUUM_EVERY: u64 = 1024;
-/// Set-ups per round. One takes about 10 ms, too short to time alone on a
-/// shared host, so a round builds the table this many times (keeping the
-/// last) and reports the median.
-pub const SETUP_REPS: usize = 16;
+pub const VACUUM_EVERY: u64 = 4096;
 const TABLE: &str = "r";
 
 #[derive(Clone, Copy, Debug, Hash)]
@@ -91,16 +92,9 @@ fn key(k: i64) -> Key {
 /// One round on a fresh database, `txns` logical transactions.
 pub fn round(seed: u64, txns: u64, traced: bool) -> Outcome<(Round, Counts)> {
     let mut round = Round::default();
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut built = None;
-    for _ in 0..SETUP_REPS {
-        drop(built.take());
-        let started = Instant::now();
-        built = Some(setup(seed)?);
-        setups.push(started.elapsed().as_secs_f64());
-    }
-    let (db, mut rng, mut model) = built.expect("SETUP_REPS > 0");
-    round.setup = Duration::from_secs_f64(median(&setups));
+    let started = Instant::now();
+    let (db, mut rng, mut model) = setup(seed)?;
+    round.setup = started.elapsed();
 
     let base = db.stats_report();
     let mut tracer = Tracer::new(Instant::now(), traced);
@@ -230,12 +224,12 @@ fn setup(seed: u64) -> Outcome<(Database, Rng, BTreeMap<i64, i64>)> {
     db.create_table(TableDef::new(TABLE, &["k", "v"], vec![0]))
         .map_err(|e| Failure::new("load", e.to_string()))?;
     let mut rng = Rng::new(seed, 0);
-    let model: BTreeMap<i64, i64> = (0..ROWS).map(|i| (2 * i, rng.key(1 << 20))).collect();
-    let rows: Vec<_> = model
-        .iter()
-        .map(|(&k, &v)| vec![Value::Int(k), Value::Int(v)])
-        .collect();
-    load(&db, TABLE, &rows)?;
+    let mut model = BTreeMap::new();
+    load(&db, TABLE, ROWS, |i| {
+        let v = rng.key(1 << 20);
+        model.insert(2 * i, v);
+        vec![Value::Int(2 * i), Value::Int(v)]
+    })?;
     Ok((db, rng, model))
 }
 

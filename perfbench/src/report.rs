@@ -14,7 +14,7 @@ use pgssi_engine::StatsReport;
 
 use crate::cli::{Args, Workload};
 use crate::measure::{
-    hist_mean_ns, median, peak_rss_mb, percentile_us, ref_kernel_ms, Outcome, Round,
+    hist_mean_ns, mean, median, peak_rss_mb, percentile_us, ref_kernel_ms, Outcome, Round,
 };
 use crate::trace::{Call, Summary};
 use crate::{point_rw, range_conflict, wire_durable};
@@ -73,13 +73,11 @@ const MIN_ROUNDS_TRACED: usize = 4;
 
 fn one_round(args: &Args, traced: bool, n: u64) -> Outcome<Round> {
     match args.workload {
-        Workload::PointRw => point_rw::round(args.seed, point_rw::TXNS_PER_CLIENT, traced),
+        Workload::PointRw => point_rw::round(args.seed, point_rw::TXNS, traced),
         Workload::RangeConflict => {
             range_conflict::round(args.seed, range_conflict::TXNS, traced).map(|(r, _)| r)
         }
-        Workload::WireDurable => {
-            wire_durable::round(args.seed, wire_durable::TXNS_PER_CLIENT, traced, n)
-        }
+        Workload::WireDurable => wire_durable::round(args.seed, wire_durable::TXNS, traced, n),
     }
 }
 
@@ -112,8 +110,10 @@ pub fn run(args: &Args) -> Outcome<String> {
     while rounds.len() < min_rounds || started.elapsed() < budget {
         let traced = args.trace && rounds.len() % 2 == 1;
         let r = one_round(args, traced, rounds.len() as u64)?;
+        let [tps, rp50, rp90, wp50, wp90, _] = round_figures(&r);
         println!(
-            "round {:>2}{}: setup {:.3} s, work {:.3} s, {} commits of {} attempts",
+            "round {:>2}{}: setup {:.4} s, work {:.3} s, {} commits of {} attempts, \
+             {tps:.0} tps, read p50/p90 {rp50:.2}/{rp90:.2} us, write p50/p90 {wp50:.2}/{wp90:.2} us",
             rounds.len(),
             if traced { " (traced)" } else { "" },
             r.setup.as_secs_f64(),
@@ -130,14 +130,13 @@ pub fn run(args: &Args) -> Outcome<String> {
 
     let attempted: u64 = rounds.iter().map(|(r, _)| r.logical).sum();
     let failed: u64 = rounds.iter().map(|(r, _)| r.failed).sum();
-    let setups: Vec<f64> = rounds.iter().map(|(r, _)| r.setup.as_secs_f64()).collect();
     let untraced: Vec<&Round> = rounds.iter().filter(|(_, t)| !t).map(|(r, _)| r).collect();
     let traced: Vec<&Round> = rounds.iter().filter(|(_, t)| *t).map(|(r, _)| r).collect();
 
     let metrics = if args.trace {
         per_layer(&rounds, &untraced, &traced, ref_ms)
     } else {
-        end_to_end(&untraced, &setups, peak_rss)
+        end_to_end(&untraced, peak_rss)
     };
     let mut json = format!(
         "{{\"correct\": true, \"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {{"
@@ -166,35 +165,47 @@ fn named(table: &[(&'static str, &'static str)], values: &[f64]) -> Vec<Metric> 
         .collect()
 }
 
-fn end_to_end(rounds: &[&Round], setups: &[f64], peak_rss: f64) -> Vec<Metric> {
-    let tps: Vec<f64> = rounds.iter().map(|r| r.commit_tps()).collect();
-    let mut reads: Vec<u64> = rounds
-        .iter()
-        .flat_map(|r| r.read_ns.iter().copied())
-        .collect();
-    let mut writes: Vec<u64> = rounds
-        .iter()
-        .flat_map(|r| r.write_ns.iter().copied())
-        .collect();
+/// The timed figures of one round: commit_tps, read p50 and p90, write p50
+/// and p90 (µs), and setup_s.
+fn round_figures(r: &Round) -> [f64; 6] {
+    let (mut reads, mut writes) = (r.read_ns.clone(), r.write_ns.clone());
+    [
+        r.commit_tps(),
+        percentile_us(&mut reads, 50.0),
+        percentile_us(&mut reads, 90.0),
+        percentile_us(&mut writes, 50.0),
+        percentile_us(&mut writes, 90.0),
+        r.setup.as_secs_f64(),
+    ]
+}
+
+fn end_to_end(rounds: &[&Round], peak_rss: f64) -> Vec<Metric> {
+    let figures: Vec<[f64; 6]> = rounds.iter().map(|r| round_figures(r)).collect();
+    let column = |i: usize| -> Vec<f64> { figures.iter().map(|f| f[i]).collect() };
+    let reads: usize = rounds.iter().map(|r| r.read_ns.len()).sum();
+    let writes: usize = rounds.iter().map(|r| r.write_ns.len()).sum();
     let commits: u64 = rounds.iter().map(|r| r.commits).sum();
     let attempts: u64 = rounds.iter().map(|r| r.attempts).sum();
     println!(
-        "samples: {} rounds, {} read txns, {} write txns, {} set-ups",
+        "samples: {} rounds; per round {} read and {} write txns",
         rounds.len(),
-        reads.len(),
-        writes.len(),
-        setups.len()
+        reads / rounds.len(),
+        writes / rounds.len(),
     );
+    // The host drifts between fast and slow phases that outlast a round, so
+    // a run's rounds often fall into two groups. Their median jumps to
+    // whichever group is larger; their mean moves in proportion and spread
+    // less between runs. Set-up time stays a median of several set-ups.
     named(
         &END_TO_END,
         &[
-            median(&tps),
-            percentile_us(&mut reads, 50.0),
-            percentile_us(&mut reads, 90.0),
-            percentile_us(&mut writes, 50.0),
-            percentile_us(&mut writes, 90.0),
+            mean(&column(0)),
+            mean(&column(1)),
+            mean(&column(2)),
+            mean(&column(3)),
+            mean(&column(4)),
             ratio(commits, attempts) * 100.0,
-            median(setups),
+            median(&column(5)),
             peak_rss,
         ],
     )

@@ -21,14 +21,15 @@ use pgssi_common::{EngineConfig, ServerConfig, Value, WalConfig};
 use pgssi_engine::{Database, IsolationLevel, TableDef};
 use pgssi_server::{Server, SessionHandle, Transport};
 
-use crate::measure::{load, run_logical, Failure, Outcome, Round, Stop, Tally};
+use crate::measure::{load, run_logical, Failure, Outcome, Round, Stop, Tally, Work};
 use crate::rng::Rng;
 use crate::trace::{Call, Tracer};
 
 pub const ROWS: i64 = 65_536;
 pub const CLIENTS: usize = 2;
 pub const WORKERS: usize = 2;
-pub const TXNS_PER_CLIENT: u64 = 8_000;
+/// Transactions per round, shared by the clients.
+pub const TXNS: u64 = 16_000;
 pub const WRITE_PCT: u64 = 50;
 pub const READS_PER_TXN: usize = 4;
 const TABLE: &str = "kv";
@@ -77,7 +78,7 @@ impl Drop for DirGuard {
 }
 
 /// One round on a fresh durable database in a new directory.
-pub fn round(seed: u64, txns_per_client: u64, traced: bool, n: u64) -> Outcome<Round> {
+pub fn round(seed: u64, txns: u64, traced: bool, n: u64) -> Outcome<Round> {
     let dir = Path::new(WORK_DIR).join(format!("wire-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let guard = DirGuard(dir.clone());
@@ -89,32 +90,29 @@ pub fn round(seed: u64, txns_per_client: u64, traced: bool, n: u64) -> Outcome<R
     db.create_table(TableDef::new(TABLE, &["k", "v"], vec![0]))
         .map_err(io)?;
     let mut rng = Rng::new(seed, 0);
-    let loaded: Vec<i64> = (0..ROWS).map(|_| rng.key(1000)).collect();
-    let rows: Vec<_> = loaded
-        .iter()
-        .enumerate()
-        .map(|(k, &v)| vec![Value::Int(k as i64), Value::Int(v)])
-        .collect();
-    load(&db, TABLE, &rows)?;
-    drop(rows);
+    let mut loaded = Vec::with_capacity(ROWS as usize);
+    load(&db, TABLE, ROWS, |k| {
+        loaded.push(rng.key(1000));
+        vec![Value::Int(k), Value::Int(loaded[k as usize])]
+    })?;
     let server = Server::new(db.clone(), ServerConfig::with_workers(WORKERS));
     round.setup = started.elapsed();
 
     let base = db.stats_report();
+    let queue = Work::new(seed, txns);
     let barrier = Barrier::new(CLIENTS + 1);
     let epoch = Instant::now();
     let (outs, work) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let (server, barrier) = (&server, &barrier);
+                let (server, queue, barrier) = (&server, &queue, &barrier);
                 s.spawn(move || {
                     let mut tracer = Tracer::new(epoch, traced);
-                    let rng = Rng::new(seed, 1 + c as u64);
                     let session = server.connect();
                     barrier.wait();
                     let out = session
                         .map_err(|e| Failure::new("unexpected-error", format!("connect: {e}")))
-                        .and_then(|s| client(&s, rng, c as u64, txns_per_client, &mut tracer));
+                        .and_then(|s| client(&s, queue, c as u64, &mut tracer));
                     out.map(|(tally, acked)| (tally, acked, tracer.into_spans()))
                 })
             })
@@ -223,17 +221,16 @@ fn batch(
     Ok(values)
 }
 
-/// One client's fixed work over its session. Returns its tally and the key
-/// of every PUT whose COMMIT was acknowledged.
+/// One client's share of the round's work, over its session. Returns its
+/// tally and the key of every PUT whose COMMIT was acknowledged.
 ///
 /// A client sends each transaction in as few round trips as its data
 /// dependencies allow: a read transaction is one batch; a write transaction
 /// is `BEGIN; GET` and then `PUT; COMMIT`, since the PUT needs the value read.
 fn client(
     session: &SessionHandle,
-    mut rng: Rng,
+    queue: &Work,
     client: u64,
-    txns: u64,
     tracer: &mut Tracer,
 ) -> Outcome<(Tally, Vec<i64>)> {
     let mut tally = Tally::default();
@@ -245,7 +242,7 @@ fn client(
     };
     let begin = "BEGIN SERIALIZABLE".to_string();
     let commit = "COMMIT".to_string();
-    for _ in 0..txns {
+    while let Some(mut rng) = queue.take() {
         if rng.percent(WRITE_PCT) {
             let k = rng.key(ROWS);
             let fetch = [begin.clone(), format!("GET {TABLE} {k}")];
