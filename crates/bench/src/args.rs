@@ -1,6 +1,12 @@
 //! Shared benchmark CLI: every `src/bin/` figure binary parses the same
 //! `--duration-ms N` / `--stats` / `--json` / `--foo 1,4,16` conventions, so
 //! the parsing lives here once instead of once per binary.
+//!
+//! Each binary hands [`BenchArgs::parse`] its table of accepted [`Flag`]s
+//! ([`COMMON`] is accepted everywhere). An unknown flag, a missing value or a
+//! value that does not parse prints the usage and exits 2, so a typo never
+//! runs the default configuration under an ablation's name; `--help` prints
+//! the usage and exits 0.
 
 use std::time::Duration;
 
@@ -8,32 +14,120 @@ use pgssi_common::stats::fmt_ns;
 use pgssi_common::ObsConfig;
 use pgssi_engine::{Database, LatencyReport};
 
+/// What follows a flag on the command line.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// One unsigned integer.
+    Num,
+    /// A comma-separated sweep list of unsigned integers (`1,4,16`).
+    List,
+}
+
+/// One accepted flag: its name, what follows it, and its usage line.
+pub type Flag = (&'static str, Takes, &'static str);
+
+/// Flags every figure binary accepts (read by [`BenchArgs::print_stats`],
+/// [`BenchArgs::obs`] and [`BenchArgs::print_latency`]).
+#[rustfmt::skip]
+pub const COMMON: &[Flag] = &[
+    ("--stats", Takes::Nothing, "print the aggregated stats report"),
+    ("--latency", Takes::Nothing, "print latency percentile tables"),
+    ("--no-latency", Takes::Nothing, "turn latency recording off"),
+    ("--trace", Takes::Nothing, "record per-transaction trace events"),
+];
+
+fn find(flags: &[Flag], name: &str) -> Option<Takes> {
+    flags
+        .iter()
+        .chain(COMMON)
+        .find(|f| f.0 == name)
+        .map(|f| f.1)
+}
+
+fn metavar(takes: Takes) -> &'static str {
+    match takes {
+        Takes::Nothing => "",
+        Takes::Num => "N",
+        Takes::List => "N[,N...]",
+    }
+}
+
+/// The usage text for binary `bin` accepting `flags` plus [`COMMON`].
+pub fn usage(bin: &str, flags: &[Flag]) -> String {
+    let help = ("--help", Takes::Nothing, "print this usage and exit");
+    let mut out = format!("usage: {bin} [FLAG]...\n\nflags:\n");
+    for (name, takes, text) in flags.iter().chain(COMMON).chain([&help]) {
+        let left = format!("{name} {}", metavar(*takes));
+        out.push_str(&format!("  {:<30} {text}\n", left.trim_end()));
+    }
+    out
+}
+
 /// Parsed argv for a figure binary. Construct with [`BenchArgs::parse`] in
 /// `main`, then pull typed flags off it.
 pub struct BenchArgs {
     argv: Vec<String>,
+    flags: &'static [Flag],
 }
 
 impl BenchArgs {
-    /// Capture this process's argv.
-    pub fn parse() -> BenchArgs {
-        BenchArgs {
-            argv: std::env::args().collect(),
+    /// Capture and check this process's argv against `flags`: prints the
+    /// usage and exits 0 on `--help`, or exits 2 on anything
+    /// [`BenchArgs::try_from_vec`] rejects.
+    pub fn parse(flags: &'static [Flag]) -> BenchArgs {
+        let argv: Vec<String> = std::env::args().collect();
+        let bin = argv.first().and_then(|a| a.rsplit('/').next());
+        let bin = bin.unwrap_or("bench").to_string();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            print!("{}", usage(&bin, flags));
+            std::process::exit(0);
         }
+        BenchArgs::try_from_vec(argv, flags).unwrap_or_else(|msg| {
+            eprint!("{bin}: {msg}\n\n{}", usage(&bin, flags));
+            std::process::exit(2)
+        })
     }
 
-    /// Build from an explicit argv (tests).
-    pub fn from_vec(argv: Vec<String>) -> BenchArgs {
-        BenchArgs { argv }
+    /// Check an explicit argv (`argv[0]` is the program name) against
+    /// `flags` plus [`COMMON`]: every flag must be known and followed by a
+    /// value that parses.
+    pub fn try_from_vec(argv: Vec<String>, flags: &'static [Flag]) -> Result<BenchArgs, String> {
+        let mut rest = argv.iter().skip(1);
+        while let Some(a) = rest.next() {
+            let takes = find(flags, a).ok_or_else(|| format!("unknown flag `{a}`"))?;
+            if takes == Takes::Nothing {
+                continue;
+            }
+            let v = rest
+                .next()
+                .ok_or_else(|| format!("`{a}` needs {}", metavar(takes)))?;
+            let ok = match takes {
+                Takes::List => v.split(',').all(|x| x.trim().parse::<u64>().is_ok()),
+                _ => v.parse::<u64>().is_ok(),
+            };
+            if !ok {
+                return Err(format!("`{a}` takes {}, got `{v}`", metavar(takes)));
+            }
+        }
+        Ok(BenchArgs { argv, flags })
+    }
+
+    /// The argument after `name`, if given. Asking for a flag the binary
+    /// does not declare, or as the wrong kind, is a bug in the binary: its
+    /// table and its code must agree, or the usage would lie.
+    fn arg(&self, name: &str, kind: Takes) -> Option<&str> {
+        let takes = find(self.flags, name)
+            .unwrap_or_else(|| panic!("`{name}` is not in this binary's flag table"));
+        assert_eq!(takes, kind, "`{name}` is declared as {takes:?}");
+        let i = self.argv.iter().position(|a| a == name)?;
+        Some(self.argv.get(i + 1).map_or("", String::as_str))
     }
 
     /// Parse `--name N`.
     pub fn value(&self, name: &str) -> Option<u64> {
-        self.argv
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.argv.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        self.arg(name, Takes::Num)?.parse().ok()
     }
 
     /// Parse `--name N` with a default.
@@ -51,35 +145,17 @@ impl BenchArgs {
         Duration::from_millis(self.value_or("--duration-ms", default_ms))
     }
 
-    /// True if the standalone flag `name` appears.
+    /// True if the switch `name` appears.
     pub fn flag(&self, name: &str) -> bool {
-        self.argv.iter().any(|a| a == name)
-    }
-
-    /// The raw argv, for the occasional binary-specific positional convention
-    /// (e.g. fig5's bare `disk` / `--config disk`).
-    pub fn raw(&self) -> &[String] {
-        &self.argv
+        self.arg(name, Takes::Nothing).is_some()
     }
 
     /// Parse `--name 1,4,16,64`-style comma-separated sweep lists (a single
-    /// value is a one-element list). `None` if the flag is absent or nothing
-    /// parses, so callers can supply their default sweep.
+    /// value is a one-element list). `None` if the flag is absent, so
+    /// callers can supply their default sweep.
     pub fn list(&self, name: &str) -> Option<Vec<u64>> {
-        let raw = self
-            .argv
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.argv.get(i + 1))?;
-        let vals: Vec<u64> = raw
-            .split(',')
-            .filter_map(|v| v.trim().parse().ok())
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals)
-        }
+        let raw = self.arg(name, Takes::List)?;
+        raw.split(',').map(|v| v.trim().parse().ok()).collect()
     }
 
     /// True if `--json` was passed (machine-readable trajectory output).
@@ -191,8 +267,27 @@ pub fn latency_json(h: &pgssi_common::HistSnapshot) -> String {
 mod tests {
     use super::*;
 
+    const FLAGS: &[Flag] = &[
+        ("--duration-ms", Takes::Num, "run length"),
+        ("--threads", Takes::Num, "threads"),
+        ("--partitions", Takes::List, "partition sweep"),
+        ("--graph-shards", Takes::List, "graph-shard sweep"),
+        ("--json", Takes::Nothing, "append JSON"),
+    ];
+
     fn args(raw: &[&str]) -> BenchArgs {
-        BenchArgs::from_vec(raw.iter().map(|s| s.to_string()).collect())
+        try_args(raw).expect("valid argv")
+    }
+
+    fn try_args(raw: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::try_from_vec(raw.iter().map(|s| s.to_string()).collect(), FLAGS)
+    }
+
+    fn invalid(raw: &[&str]) -> String {
+        match try_args(raw) {
+            Err(msg) => msg,
+            Ok(_) => panic!("{raw:?} was accepted"),
+        }
     }
 
     #[test]
@@ -200,8 +295,8 @@ mod tests {
         let a = args(&["x", "--threads", "8", "--duration-ms", "250"]);
         assert_eq!(a.value("--threads"), Some(8));
         assert_eq!(a.value_or("--duration-ms", 99), 250);
-        assert_eq!(a.value("--nope"), None);
-        assert_eq!(a.value_or("--nope", 7), 7);
+        assert_eq!(args(&["x"]).value("--threads"), None);
+        assert_eq!(args(&["x"]).value_or("--threads", 7), 7);
         assert_eq!(a.usize_or("--threads", 1), 8);
         assert_eq!(a.duration_or(400), Duration::from_millis(250));
         assert_eq!(args(&["x"]).duration_or(400), Duration::from_millis(400));
@@ -212,15 +307,15 @@ mod tests {
         let a = args(&["x", "--partitions", "1,4,16,64", "--graph-shards", "8"]);
         assert_eq!(a.list("--partitions"), Some(vec![1, 4, 16, 64]));
         assert_eq!(a.list("--graph-shards"), Some(vec![8]));
-        assert_eq!(a.list("--nope"), None);
+        assert_eq!(args(&["x"]).list("--partitions"), None);
     }
 
     #[test]
     fn flag_parsing() {
-        let a = args(&["x", "--stats", "--json"]);
+        let a = args(&["x", "--stats", "--json", "--threads", "2"]);
         assert!(a.flag("--stats"));
         assert!(a.json());
-        assert!(!a.flag("--nope"));
+        assert!(!a.flag("--trace"), "a switch takes no value");
         assert!(!args(&["x"]).json());
     }
 
@@ -236,5 +331,48 @@ mod tests {
         assert!(!a.latency() && a.trace());
         let obs = a.obs();
         assert!(!obs.latency && obs.trace);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert!(invalid(&["x", "--partitons", "1"]).contains("`--partitons`"));
+        assert!(invalid(&["x", "--stats", "--jsno"]).contains("`--jsno`"));
+        // A stray positional word is as unknown as a misspelt flag.
+        assert!(invalid(&["x", "disk"]).contains("`disk`"));
+    }
+
+    #[test]
+    fn values_that_do_not_parse_are_rejected() {
+        assert!(invalid(&["x", "--threads", "four"]).contains("got `four`"));
+        assert!(invalid(&["x", "--threads", "-1"]).contains("got `-1`"));
+        assert!(invalid(&["x", "--partitions", "1,x,16"]).contains("got `1,x,16`"));
+        assert!(invalid(&["x", "--partitions", "1,,16"]).contains("got `1,,16`"));
+        assert!(invalid(&["x", "--threads"]).contains("needs N"));
+        // The next flag is not a value.
+        assert!(invalid(&["x", "--threads", "--stats"]).contains("got `--stats`"));
+    }
+
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        let text = usage("fig_x", FLAGS);
+        assert!(text.starts_with("usage: fig_x "));
+        for (name, _, _) in FLAGS.iter().chain(COMMON) {
+            assert!(text.contains(name), "usage misses {name}");
+        }
+        assert!(text.contains("--partitions N[,N...]"));
+        assert!(text.contains("--threads N "));
+        assert!(text.contains("--help"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in this binary's flag table")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        args(&["x"]).value("--rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "is declared as")]
+    fn reading_a_flag_as_the_wrong_kind_is_a_bug() {
+        args(&["x"]).value("--partitions");
     }
 }

@@ -5,13 +5,19 @@
 //! cargo run --release -p pgssi-bench --bin fig4_sibench [-- --duration-ms 1500 --threads 4 --stats]
 //! ```
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::{print_header, print_normalized_row, Mode};
 use pgssi_bench::sibench::Sibench;
 use pgssi_common::{EngineConfig, IoModel};
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "measured time per cell in ms (default 1200)"),
+    ("--threads", Num, "client threads (default 8)"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(1200);
     let threads = args.usize_or("--threads", 8);
     let sizes: Vec<i64> = vec![10, 100, 1000, 10_000];

@@ -11,27 +11,34 @@
 //! thread-per-client harness.
 //!
 //! ```sh
-//! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- --config memory
-//! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- --config disk
+//! cargo run --release -p pgssi-bench --bin fig5_dbt2
+//! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- --disk
 //! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- \
 //!     --sessions 256 --workers 8 --think-ms 10 --keying-ms 5
 //! ```
 
 use std::time::Duration;
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::dbt2::{Dbt2, Dbt2Config};
 use pgssi_bench::harness::{print_header, print_normalized_row, Mode};
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--disk", Nothing, "run Figure 5b, disk-bound (default: 5a, in-memory)"),
+    ("--duration-ms", Num, "measured time per cell in ms (default 1200)"),
+    ("--threads", Num, "client threads (default 4)"),
+    ("--sessions", Num, "rerun the standard mix with N session terminals"),
+    ("--workers", Num, "session-pool workers (default --threads)"),
+    ("--think-ms", Num, "per-terminal think time in ms (default 10)"),
+    ("--keying-ms", Num, "per-terminal keying time in ms (default 5)"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(1200);
     let threads = args.usize_or("--threads", 4); // paper: concurrency 4 in-memory
-    let disk = args.raw().iter().any(|a| a == "disk" || a == "--disk")
-        || args
-            .raw()
-            .windows(2)
-            .any(|w| w[0] == "--config" && w[1] == "disk");
+    let disk = args.flag("--disk");
 
     let (mut base, label, modes): (Dbt2Config, &str, &[Mode]) = if disk {
         (Dbt2Config::disk_bound(), "5b (disk-bound)", &Mode::MAIN)

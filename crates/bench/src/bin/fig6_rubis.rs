@@ -5,12 +5,18 @@
 //! cargo run --release -p pgssi-bench --bin fig6_rubis [-- --duration-ms 2000]
 //! ```
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::Mode;
 use pgssi_bench::rubis::{Rubis, RubisConfig};
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "measured time per mode in ms (default 2000)"),
+    ("--threads", Num, "client threads (default 8)"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(2000);
     let threads = args.usize_or("--threads", 8);
     let config = RubisConfig {

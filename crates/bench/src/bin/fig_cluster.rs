@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::{append_json_record, run_for, seed_for, RunResult};
 use pgssi_common::{row, EngineConfig, Result};
 use pgssi_engine::{IsolationLevel, ShardedDatabase, TableDef};
@@ -121,8 +121,19 @@ impl Workload {
     }
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "measured time per cell in ms (default 400)"),
+    ("--threads", Num, "client threads (default 4)"),
+    ("--rows", Num, "table rows (default 1024)"),
+    ("--shards", List, "shard-count sweep (default 1,2,4)"),
+    ("--cross-pct", List, "cross-shard percentage sweep (default 0,20)"),
+    ("--skew-pct", List, "hot-key skew percentage sweep (default 0)"),
+    ("--json", Nothing, "append one record per cell to BENCH_cluster.json"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(400);
     let threads = args.usize_or("--threads", 4);
     let rows = args.value_or("--rows", 1024) as i64;

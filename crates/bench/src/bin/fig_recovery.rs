@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::run_for;
 use pgssi_common::{row, EngineConfig, WalConfig};
 use pgssi_engine::{Database, IsolationLevel, TableDef};
@@ -121,8 +121,15 @@ fn reopen_at_cut(src: &Path, cut: usize) -> std::io::Result<()> {
     std::fs::remove_dir_all(&dir)
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "commit time per mode in ms (default 400)"),
+    ("--threads", Num, "committer threads (default 4)"),
+    ("--group-commit", Num, "run only group commit on (1) or off (0) (default both)"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(400);
     let threads = args.usize_or("--threads", 4);
     // --group-commit 1 → only the batched mode; 0 → only the ablation.

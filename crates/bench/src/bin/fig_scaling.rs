@@ -34,18 +34,26 @@
 
 use std::time::Duration;
 
-use pgssi_bench::args::{latency_json, BenchArgs};
+use pgssi_bench::args::{latency_json, BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::{append_json_record, json_array, Mode};
 use pgssi_bench::sibench::Sibench;
 use pgssi_common::IoModel;
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "measured time per cell in ms (default 800)"),
+    ("--max-threads", Num, "largest thread count of the 1,2,4,.. sweep (default 16)"),
+    ("--partitions", List, "SIREAD lock-table partition sweep (default 16)"),
+    ("--graph-shards", List, "conflict-graph shard sweep (default 16)"),
+    ("--read-batch", List, "read-set batch size sweep (default 32)"),
+    ("--rows", Num, "table rows (default 1024)"),
+    ("--json", Nothing, "append one record per point to BENCH_scaling.json"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(800);
-    let max_threads = args
-        .value("--max-threads")
-        .or_else(|| args.value("--threads"))
-        .unwrap_or(16) as usize;
+    let max_threads = args.usize_or("--max-threads", 16);
     let partitions_sweep = args.list("--partitions").unwrap_or_else(|| vec![16]);
     let graph_shards_sweep = args.list("--graph-shards").unwrap_or_else(|| vec![16]);
     let read_batch_sweep = args

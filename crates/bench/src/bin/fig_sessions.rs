@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::harness::{seed_for, Mode};
 use pgssi_bench::sibench::Sibench;
 use pgssi_common::{IoModel, ServerConfig};
@@ -162,8 +162,20 @@ fn run_sweep_cell(
     )
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--duration-ms", Num, "measured time per cell in ms (default 400)"),
+    ("--workers", Num, "session-pool workers (default: the server default)"),
+    ("--max-sessions", Num, "largest session count of the sweep (default 1024)"),
+    ("--rows", Num, "table rows (default 1024)"),
+    ("--id-shards", Num, "txid allocation shards"),
+    ("--graph-shards", Num, "conflict-graph shards"),
+    ("--read-batch", Num, "read-set batch size"),
+    ("--tcp", Nothing, "drive the sweep over TCP sockets"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(400);
     let workers = args.usize_or("--workers", ServerConfig::default().workers);
     let max_sessions = args.usize_or("--max-sessions", 1024);

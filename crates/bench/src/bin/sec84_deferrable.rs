@@ -12,13 +12,19 @@
 
 use std::time::Duration;
 
-use pgssi_bench::args::BenchArgs;
+use pgssi_bench::args::{BenchArgs, Flag, Takes::*};
 use pgssi_bench::dbt2::{Dbt2, Dbt2Config};
 use pgssi_bench::deferrable::run_probe_on;
 use pgssi_bench::harness::Mode;
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--probes", Num, "deferrable probes to run (default 200)"),
+    ("--threads", Num, "DBT-2++ load threads (default 8)"),
+];
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(FLAGS);
     let probes = args.usize_or("--probes", 200);
     let threads = args.usize_or("--threads", 8);
 

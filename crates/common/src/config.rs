@@ -193,49 +193,6 @@ impl TxnConfig {
     }
 }
 
-/// What the master ships in its WAL stream for replicas (§7.2 vs §8.4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplicationMode {
-    /// §8.4 (the paper's future-work design, the default here): every commit
-    /// record carries the committer's commit CSN plus a conflict digest
-    /// (in/out rw-antidependency facts and the set of concurrent serializable
-    /// read/write xids, captured in the master's commit-order critical
-    /// section), and serializable read/write aborts ship resolution records.
-    /// A follower decides snapshot safety *locally* from that metadata,
-    /// without waiting for the master to observe a quiescent moment.
-    ShipMetadata,
-    /// §7.2 (the paper's implemented workaround, kept as an ablation —
-    /// `fig_replication --markers`): the master appends an explicit
-    /// safe-snapshot marker whenever a commit happens with no serializable
-    /// read/write transaction in flight; replicas may only run serializable
-    /// read-only queries on marked snapshots.
-    ShipMarkers,
-}
-
-/// Replication configuration.
-#[derive(Clone, Debug)]
-pub struct ReplicationConfig {
-    /// What commit metadata the WAL stream carries.
-    pub mode: ReplicationMode,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            mode: ReplicationMode::ShipMetadata,
-        }
-    }
-}
-
-impl ReplicationConfig {
-    /// The §7.2 marker ablation.
-    pub fn markers() -> Self {
-        ReplicationConfig {
-            mode: ReplicationMode::ShipMarkers,
-        }
-    }
-}
-
 /// Session-layer configuration for `pgssi-server`'s [`SessionPool`] — the
 /// thread-pooled front-end that multiplexes many logical client sessions
 /// (paper §8 runs hundreds of mostly-idle DBT-2 terminals) onto a small,
@@ -409,8 +366,6 @@ pub struct EngineConfig {
     pub io: IoModel,
     /// Transaction-manager sharding (txid blocks, snapshot cache).
     pub txn: TxnConfig,
-    /// Replication WAL-shipping mode (§7.2 markers vs §8.4 metadata).
-    pub replication: ReplicationConfig,
     /// Durable-WAL placement and group-commit policy.
     pub wal: WalConfig,
     /// Observability: histograms and tracing.
@@ -473,22 +428,6 @@ mod tests {
         assert!(c.max_sessions >= c.workers);
         assert_eq!(ServerConfig::with_workers(0).workers, 1);
         assert_eq!(ServerConfig::with_workers(3).workers, 3);
-    }
-
-    #[test]
-    fn replication_defaults_to_metadata_shipping() {
-        assert_eq!(
-            ReplicationConfig::default().mode,
-            ReplicationMode::ShipMetadata
-        );
-        assert_eq!(
-            ReplicationConfig::markers().mode,
-            ReplicationMode::ShipMarkers
-        );
-        assert_eq!(
-            EngineConfig::default().replication.mode,
-            ReplicationMode::ShipMetadata
-        );
     }
 
     #[test]

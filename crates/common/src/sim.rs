@@ -95,8 +95,6 @@ pub enum Site {
     RetryBackoff,
     /// Deferrable/safe-snapshot wait (`wait_for_safety`).
     SafetyWait,
-    /// The emulated pre-fix marker race window (test gate only).
-    MarkerRace,
     /// Inside a commit-order section, between the commit-CSN assignment and
     /// the fold of that CSN into the in-sources' out-conflict bounds — the
     /// window the authoritative commit-time pivot re-check exists to close.
@@ -125,7 +123,6 @@ impl Site {
             Site::ReplCatchUp => "repl-catch-up",
             Site::RetryBackoff => "retry-backoff",
             Site::SafetyWait => "safety-wait",
-            Site::MarkerRace => "marker-race",
             Site::CsnFold => "csn-fold",
             Site::ThreadJoin => "thread-join",
             Site::DriverStep => "driver-step",
@@ -1193,6 +1190,10 @@ mod tests {
 
     #[test]
     fn real_mode_hooks_are_inert() {
+        // Sibling tests run `Scheduler::run` in parallel, which turns the
+        // process-global gate on; holding the run lock keeps every run out
+        // for the duration, so real mode is what this test observes.
+        let _excl = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         yield_point(Site::CommitOrder);
         notify(Site::LockWait, 1);

@@ -1292,7 +1292,7 @@ impl SsiManager {
     /// captures alongside it, such as the post-commit snapshot and the WAL
     /// append — must still be read under the commit-order mutex, or a
     /// serializable begin could slip between the membership read and the
-    /// snapshot (the marker race this API exists to close).
+    /// snapshot (the check-then-snapshot race this API exists to close).
     pub fn observe_commit(
         &self,
         txid: TxnId,
@@ -1624,7 +1624,26 @@ impl SsiManager {
     /// PREPARE TRANSACTION: run the pre-commit check, then persist the SSI state
     /// that must survive a crash (the SIREAD locks; the dependency graph is
     /// deliberately not persisted — recovery assumes conflicts both ways).
-    pub fn prepare(&self, sx: SxactId, frontier: CommitSeqNo) -> Result<PreparedSsi> {
+    ///
+    /// `cross_shard` marks one branch of a cross-shard transaction: from the
+    /// instant its conflict facts are captured, the prepared record is
+    /// treated as committed-with-conflicts-both-ways (§7.1 conservatism). Its
+    /// sibling branches' edges live on other shards where this shard cannot
+    /// see them, so every edge formed against the branch after the capture
+    /// must assume the invisible half of a dangerous structure exists.
+    /// Setting the summary flags makes the existing prepared-pivot machinery
+    /// (`precommit_check_t2`, pivot checks) fire on any new in- or out-edge,
+    /// aborting the acting transaction instead of the unabortable prepared
+    /// one. Capture and marking share one critical section on the record,
+    /// which every edge flag also takes: an edge lands either in the captured
+    /// facts the coordinator judges, or against the marked record — never in
+    /// between, where neither would see it.
+    pub fn prepare(
+        &self,
+        sx: SxactId,
+        frontier: CommitSeqNo,
+        cross_shard: bool,
+    ) -> Result<PreparedSsi> {
         self.precommit(sx, frontier)?;
         let me = self.reg.get(sx).expect("prepare on unknown record");
         // A prepared transaction outlives its session (possibly across a
@@ -1636,14 +1655,21 @@ impl SsiManager {
         // judge a distributed dangerous structure from its branches' records
         // (the local pivot check above only sees this shard's edges).
         let (had_in_conflict, had_out_conflict, earliest_out_conflict_commit) = {
-            let g = me.lock();
-            (
+            let mut g = me.lock();
+            let facts = (
                 !g.in_conflicts.is_empty() || g.summary_conflict_in,
                 !g.out_conflicts.is_empty()
                     || g.summary_conflict_out
                     || g.earliest_out_conflict_commit != CommitSeqNo::MAX,
                 g.earliest_out_conflict_commit,
-            )
+            );
+            if cross_shard {
+                let bound = me.prepare_csn().unwrap_or(CommitSeqNo::MAX);
+                g.summary_conflict_in = true;
+                g.summary_conflict_out = true;
+                g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(bound);
+            }
+            facts
         };
         Ok(PreparedSsi {
             txid: me.txid,
@@ -1655,25 +1681,6 @@ impl SsiManager {
             had_out_conflict,
             earliest_out_conflict_commit,
         })
-    }
-
-    /// Treat a live prepared transaction as committed-with-conflicts-both-ways
-    /// (§7.1 conservatism, applied by a cross-shard coordinator): once a branch
-    /// of a distributed transaction has prepared, its sibling branches' edges
-    /// live on other shards where this shard cannot see them, so every edge
-    /// formed against the branch *after* PREPARE must assume the invisible half
-    /// of a dangerous structure exists. Setting the summary flags makes the
-    /// existing prepared-pivot machinery (`precommit_check_t2`, pivot checks)
-    /// fire on any new in- or out-edge, aborting the acting transaction instead
-    /// of the unabortable prepared one.
-    pub fn mark_prepared_conservative(&self, sx: SxactId) {
-        if let Some(me) = self.reg.get(sx) {
-            let bound = me.prepare_csn().unwrap_or(CommitSeqNo::MAX);
-            let mut g = me.lock();
-            g.summary_conflict_in = true;
-            g.summary_conflict_out = true;
-            g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(bound);
-        }
     }
 
     /// Rebuild a prepared transaction after a crash. Its dependency edges are

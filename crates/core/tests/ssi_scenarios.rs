@@ -531,7 +531,7 @@ fn prepared_transaction_survives_recovery_and_commits() {
     let t = h.begin();
     h.read(t, 0).unwrap();
     h.write(t, 1).unwrap();
-    let rec = h.ssi.prepare(t.sx, h.tm.snapshot().csn).unwrap();
+    let rec = h.ssi.prepare(t.sx, h.tm.snapshot().csn, false).unwrap();
     assert!(rec.wrote);
     assert!(!rec.siread_locks.is_empty());
 
@@ -563,7 +563,7 @@ fn prepared_transaction_cannot_be_victim_active_one_dies_instead() {
     h.read(t_active, 1).unwrap();
     // T_prepared writes Y — but don't check yet; prepare first.
     h.ssi
-        .prepare(t_prepared.sx, h.tm.snapshot().csn)
+        .prepare(t_prepared.sx, h.tm.snapshot().csn, false)
         .expect("prepare must pass: structure incomplete so far");
 
     // Now the edge T_active → T_prepared forms (write after prepare).

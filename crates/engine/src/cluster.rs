@@ -572,7 +572,11 @@ impl ShardedTransaction {
         let mut prepared: Vec<usize> = Vec::new();
         for &shard in enlisted {
             let txn = self.branches[shard].take().expect("enlisted");
-            if let Err(e) = txn.prepare(&gid) {
+            // From its fact capture until the global fate lands, the branch
+            // treats every new edge as if the transaction had committed — the
+            // §7.1 prepared conservatism, applied because a cross-shard
+            // transaction becomes unabortable shard-locally once prepared.
+            if let Err(e) = txn.prepare_branch(&gid) {
                 for &p in &prepared {
                     let _ = self.cluster.inner.shards[p].rollback_prepared(&gid);
                 }
@@ -580,13 +584,6 @@ impl ShardedTransaction {
                 stats.cross_shard_aborts.bump();
                 return Err(e);
             }
-            // From here until the global fate lands, this branch must treat
-            // every new edge as if the transaction had committed — the §7.1
-            // prepared conservatism, applied because a cross-shard
-            // transaction becomes unabortable shard-locally once prepared.
-            self.cluster.inner.shards[shard]
-                .mark_prepared_conservative(&gid)
-                .expect("branch prepared above");
             prepared.push(shard);
         }
 

@@ -215,14 +215,11 @@ pub struct StatsReport {
     pub session_reserve_workers: u64,
     /// WAL records shipped (all kinds).
     pub repl_records: u64,
-    /// Safe-snapshot markers shipped (marker mode).
-    pub repl_markers_shipped: u64,
-    /// Resolution records shipped (metadata mode).
+    /// Resolution records shipped for serializable aborts and writeless
+    /// commits.
     pub repl_resolves_shipped: u64,
     /// Safe snapshots replicas derived locally from §8.4 metadata.
     pub repl_safe_local: u64,
-    /// Safe snapshots replicas adopted from shipped §7.2 markers.
-    pub repl_safe_marker: u64,
     /// Locally derived safe snapshots the marker protocol would have waited
     /// on (their candidate had serializable read/write txns in flight).
     pub repl_marker_waits_avoided: u64,
@@ -352,11 +349,6 @@ impl StatsReport {
         }
     }
 
-    /// Total safe snapshots replicas obtained, however derived.
-    pub fn repl_safe_snapshots(&self) -> u64 {
-        self.repl_safe_local + self.repl_safe_marker
-    }
-
     /// Mean replication lag in records per catch-up.
     pub fn repl_mean_lag(&self) -> f64 {
         if self.repl_catch_ups == 0 {
@@ -433,10 +425,8 @@ impl StatsReport {
             session_lock_wakeups,
             session_reserve_workers,
             repl_records,
-            repl_markers_shipped,
             repl_resolves_shipped,
             repl_safe_local,
-            repl_safe_marker,
             repl_marker_waits_avoided,
             repl_unsafe_candidates,
             repl_catch_ups,
@@ -501,10 +491,8 @@ impl StatsReport {
             session_lock_wakeups,
             session_reserve_workers,
             repl_records,
-            repl_markers_shipped,
             repl_resolves_shipped,
             repl_safe_local,
-            repl_safe_marker,
             repl_marker_waits_avoided,
             repl_unsafe_candidates,
             repl_catch_ups,
@@ -616,13 +604,11 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "repl   : records {}  markers {}  resolves {}  safe-local {}  safe-marker {}  \
-             marker-waits-avoided {}  unsafe-candidates {}  catch-ups {}  mean-lag {:.2}",
+            "repl   : records {}  resolves {}  safe-local {}  marker-waits-avoided {}  \
+             unsafe-candidates {}  catch-ups {}  mean-lag {:.2}",
             self.repl_records,
-            self.repl_markers_shipped,
             self.repl_resolves_shipped,
             self.repl_safe_local,
-            self.repl_safe_marker,
             self.repl_marker_waits_avoided,
             self.repl_unsafe_candidates,
             self.repl_catch_ups,
@@ -1350,10 +1336,8 @@ impl Database {
             session_lock_wakeups: self.inner.session_stats.lock_holder_wakeups.get(),
             session_reserve_workers: self.inner.session_stats.reserve_workers.get(),
             repl_records: self.inner.repl_stats.records.get(),
-            repl_markers_shipped: self.inner.repl_stats.markers_shipped.get(),
             repl_resolves_shipped: self.inner.repl_stats.resolves_shipped.get(),
             repl_safe_local: self.inner.repl_stats.safe_local.get(),
-            repl_safe_marker: self.inner.repl_stats.safe_marker.get(),
             repl_marker_waits_avoided: self.inner.repl_stats.marker_waits_avoided.get(),
             repl_unsafe_candidates: self.inner.repl_stats.unsafe_candidates.get(),
             repl_catch_ups: self.inner.repl_stats.catch_ups.get(),
@@ -1512,22 +1496,6 @@ impl Database {
         self.inner.stats.aborts.bump();
         if let Some(lsn) = resolve_lsn {
             self.inner.dwal.wait_durable(lsn);
-        }
-        Ok(())
-    }
-
-    /// Mark a prepared transaction's SSI state conservatively: summary
-    /// conflicts both ways, as if it had already committed at its prepare
-    /// CSN. A cross-shard coordinator calls this on every branch right after
-    /// PREPARE succeeds, so edges formed while the global fate is undecided
-    /// hit the full prepared-pivot machinery (§7.1 applied across shards).
-    pub fn mark_prepared_conservative(&self, gid: &str) -> Result<()> {
-        let prepared = self.inner.lock_prepared();
-        let rec = prepared
-            .get(gid)
-            .ok_or_else(|| Error::NotFound(format!("prepared transaction {gid:?}")))?;
-        if let Some(sx) = rec.sx {
-            self.inner.ssi().mark_prepared_conservative(sx);
         }
         Ok(())
     }

@@ -15,7 +15,7 @@
 //! Feature interactions from §7 are implemented: two-phase commit persists
 //! SIREAD locks and recovers conservatively (§7.1); log-shipping replication
 //! ships §8.4 commit-order/conflict metadata so a follower derives safe
-//! snapshots locally (the §7.2 marker protocol survives as an ablation);
+//! snapshots locally, in place of the paper's §7.2 shipped markers;
 //! savepoints keep SIREAD locks on subtransaction rollback and
 //! suppress the write-lock-drop optimization (§7.3); hash indexes, lacking
 //! predicate-lock support, fall back to relation-level locks (§7.4); and DDL

@@ -1107,10 +1107,6 @@ impl Transaction {
             ) {
                 return Err(self.abort_at(e, AbortSite::Precommit, None));
             }
-            // Test-only: the emulated (pre-fix) marker protocol pushes its
-            // safe-snapshot marker *after* the order section — a no-op
-            // unless the simulation regression suite enabled the emulation.
-            db.wal.publish_deferred_marker(db);
         } else {
             let csn = {
                 let db = &self.db;
@@ -1155,7 +1151,17 @@ impl Transaction {
     /// PREPARE TRANSACTION (two-phase commit, §7.1): runs the SSI pre-commit
     /// check and persists the SIREAD locks; the transaction's fate is decided
     /// later by [`crate::Database::commit_prepared`] / `rollback_prepared`.
-    pub fn prepare(mut self, gid: &str) -> Result<()> {
+    pub fn prepare(self, gid: &str) -> Result<()> {
+        self.prepare_with(gid, false)
+    }
+
+    /// PREPARE one branch of a cross-shard transaction (see the
+    /// `cross_shard` flag of [`pgssi_core::SsiManager::prepare`]).
+    pub(crate) fn prepare_branch(self, gid: &str) -> Result<()> {
+        self.prepare_with(gid, true)
+    }
+
+    fn prepare_with(mut self, gid: &str, cross_shard: bool) -> Result<()> {
         // Sim interleaving point on the 2PC prepare edge: a prepared-but-
         // unresolved transaction is the state other commits must respect.
         pgssi_common::sim::yield_point(pgssi_common::sim::Site::TwoPhasePrepare);
@@ -1165,7 +1171,7 @@ impl Transaction {
         let ssi_rec = match self.sx {
             Some(sx) => {
                 let ssi = self.db.ssi();
-                match ssi.prepare(sx, self.db.tm.frontier()) {
+                match ssi.prepare(sx, self.db.tm.frontier(), cross_shard) {
                     Ok(rec) => Some(rec),
                     Err(e) => return Err(self.abort_at(e, AbortSite::Prepare, None)),
                 }

@@ -1,8 +1,7 @@
 //! Feature interactions from §7: two-phase commit (with crash recovery and the
-//! degraded safe-retry case), streaming replication (§8.4 metadata shipping in
-//! the default configuration — the concurrent suite and the race regression
-//! tests cover it and the §7.2 marker ablation in depth), and deferrable
-//! transactions.
+//! degraded safe-retry case), streaming replication (§8.4 metadata shipping —
+//! the concurrent suite and the vacuum-horizon regression test cover it in
+//! depth), and deferrable transactions.
 
 use pgssi_common::{row, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, Replica, TableDef, Transaction};
@@ -146,7 +145,7 @@ fn replica_receives_commits_and_safe_snapshots() {
     assert!(replica.catch_up() >= 1);
     let mut q = replica
         .begin_safe_query()
-        .expect("idle master → safe marker");
+        .expect("idle master → safe snapshot");
     assert_eq!(q.get("kv", &row![1]).unwrap(), Some(row![1, 10]));
     q.commit().unwrap();
 }
@@ -156,14 +155,15 @@ fn replica_safe_snapshot_lags_behind_active_serializable_txns() {
     let db = kv_db();
     let replica = Replica::connect(&db);
 
-    // Commit something with no serializable activity: safe marker shipped.
+    // Commit something with no serializable activity: the follower derives a
+    // safe snapshot at once.
     let mut a = db.begin(IsolationLevel::ReadCommitted);
     a.insert("kv", row![1, 1]).unwrap();
     a.commit().unwrap();
     replica.catch_up();
 
     // Now hold a serializable RW transaction open while another commit happens:
-    // that commit ships WITHOUT a safe marker.
+    // that commit's candidate stays pending on it.
     let mut hold = db.begin(IsolationLevel::Serializable);
     let _ = hold.get("kv", &row![1]).unwrap();
     let mut b = db.begin(IsolationLevel::ReadCommitted);
@@ -215,7 +215,7 @@ fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
     let x = t2.get("control", &row![0]).unwrap().unwrap()[1]
         .as_int()
         .unwrap();
-    // T3 (CLOSE-BATCH) commits while T2 is active → no safe marker.
+    // T3 (CLOSE-BATCH) commits while T2 is active → its candidate is pending.
     let mut t3 = db.begin(IsolationLevel::Serializable);
     let b = t3.get("control", &row![0]).unwrap().unwrap()[1]
         .as_int()

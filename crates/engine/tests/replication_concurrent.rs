@@ -6,19 +6,20 @@
 //!   from-scratch §4.2 safety check replayed over the full WAL;
 //! * the Figure-2 REPORT anomaly reproduces under `begin_stale_query` but
 //!   never under safe queries;
-//! * an interleaved chain of serializable writers starves the §7.2 marker
-//!   protocol completely while the §8.4 follower keeps deriving safe
-//!   snapshots — the "marker waits avoided" win, deterministically.
+//! * an interleaved chain of serializable writers, which would starve the
+//!   §7.2 marker protocol completely, still lets the §8.4 follower keep
+//!   deriving safe snapshots — the "marker waits avoided" win,
+//!   deterministically.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use pgssi_common::{row, CommitSeqNo, EngineConfig, ReplicationConfig, TxnId};
+use pgssi_common::{row, CommitSeqNo, TxnId};
 use pgssi_engine::{CommitDigest, Database, IsolationLevel, Replica, TableDef, WalRecord};
 
 fn kv_db() -> Database {
-    let db = Database::open(); // default config: §8.4 metadata shipping
+    let db = Database::open();
     db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
         .unwrap();
     db
@@ -33,12 +34,8 @@ fn oracle_verdicts(records: &[WalRecord]) -> (HashSet<CommitSeqNo>, HashSet<Comm
     let mut resolutions: HashMap<TxnId, Option<CommitDigest>> = HashMap::new();
     for rec in records {
         match rec {
-            WalRecord::Commit {
-                txid,
-                meta: Some((_, digest)),
-                ..
-            } if digest.serializable => {
-                resolutions.insert(*txid, Some(digest.clone()));
+            WalRecord::Commit { digest, .. } if digest.serializable => {
+                resolutions.insert(digest.txid, Some(digest.clone()));
             }
             WalRecord::Resolve { txid, digest } => {
                 resolutions.insert(*txid, digest.clone());
@@ -64,11 +61,7 @@ fn oracle_verdicts(records: &[WalRecord]) -> (HashSet<CommitSeqNo>, HashSet<Comm
     let mut safe = HashSet::new();
     let mut unsafe_or_undecided = HashSet::new();
     for rec in records {
-        let WalRecord::Commit {
-            meta: Some((snapshot, digest)),
-            ..
-        } = rec
-        else {
+        let WalRecord::Commit { snapshot, digest } = rec else {
             continue;
         };
         let mut verdict_safe = true;
@@ -196,10 +189,6 @@ fn locally_derived_safe_snapshots_match_from_scratch_safety_check() {
     );
     let report = db.stats_report();
     assert!(report.repl_safe_local > 0, "local derivations counted");
-    assert_eq!(
-        report.repl_markers_shipped, 0,
-        "metadata mode ships no markers"
-    );
 }
 
 /// The Figure 2 REPORT anomaly through a replica, in §8.4 metadata mode: a
@@ -284,83 +273,53 @@ fn report_anomaly_reproduces_under_stale_queries_never_under_safe() {
 }
 
 /// An interleaved chain of serializable writers keeps at least one r/w
-/// transaction in flight at every commit: the §7.2 marker protocol ships no
-/// marker at all, while the §8.4 follower derives a safe snapshot from almost
-/// every commit.
+/// transaction in flight at every commit — a chain that would have starved
+/// the paper's §7.2 marker protocol of any safe snapshot — while the §8.4
+/// follower derives a safe snapshot from almost every commit.
 #[test]
 fn metadata_mode_derives_safe_snapshots_where_markers_starve() {
-    let meta_db = kv_db();
-    let marker_db = Database::new(EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..EngineConfig::default()
-    });
-    marker_db
-        .create_table(TableDef::new("kv", &["k", "v"], vec![0]))
-        .unwrap();
-
-    let meta_replica = Replica::connect(&meta_db); // attach before seeding
-    let marker_replica = Replica::connect(&marker_db);
-    for db in [&meta_db, &marker_db] {
-        let mut t = db.begin(IsolationLevel::ReadCommitted);
-        for k in 0..8i64 {
-            t.insert("kv", row![k, 0]).unwrap();
-        }
-        t.commit().unwrap();
+    let db = kv_db();
+    let replica = Replica::connect(&db); // attach before seeding
+    let mut t = db.begin(IsolationLevel::ReadCommitted);
+    for k in 0..8i64 {
+        t.insert("kv", row![k, 0]).unwrap();
     }
-    meta_replica.catch_up();
-    marker_replica.catch_up();
-    let markers_before = marker_db.stats_report().repl_markers_shipped;
-    let marker_baseline = marker_replica.latest_safe_csn();
+    t.commit().unwrap();
+    replica.catch_up();
+    let baseline = replica.latest_safe_csn().expect("setup snapshot");
 
     // Chain: t_{i+1} begins before t_i commits, so every commit observes a
     // concurrent serializable read/write transaction. The chain's *last* link
-    // stays open until after the assertions — committing it with nothing else
-    // in flight would (correctly) ship a marker.
-    let mut open_links = Vec::new();
-    for db in [&meta_db, &marker_db] {
-        let mut prev = db.begin(IsolationLevel::Serializable);
-        prev.update("kv", &row![0], row![0, 0]).unwrap();
-        for i in 1..20i64 {
-            let mut next = db.begin(IsolationLevel::Serializable);
-            let k = i % 8;
-            next.update("kv", &row![k], row![k, i]).unwrap();
-            prev.commit().unwrap();
-            prev = next;
-        }
-        open_links.push(prev);
+    // stays open until after the assertions.
+    let mut prev = db.begin(IsolationLevel::Serializable);
+    prev.update("kv", &row![0], row![0, 0]).unwrap();
+    for i in 1..20i64 {
+        let mut next = db.begin(IsolationLevel::Serializable);
+        let k = i % 8;
+        next.update("kv", &row![k], row![k, i]).unwrap();
+        prev.commit().unwrap();
+        prev = next;
     }
-    meta_replica.catch_up();
-    marker_replica.catch_up();
+    replica.catch_up();
 
-    let meta = meta_db.stats_report();
-    let marker = marker_db.stats_report();
-    assert_eq!(
-        marker.repl_markers_shipped, markers_before,
-        "the chain must starve the marker protocol completely"
-    );
-    assert_eq!(
-        marker_replica.latest_safe_csn(),
-        marker_baseline,
-        "marker replica is stuck on the pre-chain snapshot"
-    );
+    let report = db.stats_report();
     assert!(
-        meta.repl_safe_local >= 15,
+        report.repl_safe_local >= 15,
         "metadata follower keeps deriving safe snapshots mid-chain (got {})",
-        meta.repl_safe_local
+        report.repl_safe_local
     );
     assert!(
-        meta.repl_marker_waits_avoided >= 15,
+        report.repl_marker_waits_avoided >= 15,
         "each mid-chain derivation is a marker wait avoided (got {})",
-        meta.repl_marker_waits_avoided
+        report.repl_marker_waits_avoided
     );
-    let meta_safe = meta_replica.latest_safe_csn().expect("derived");
     assert!(
-        meta_safe > marker_baseline.expect("setup marker"),
-        "metadata follower advanced past the marker replica"
+        replica.latest_safe_csn().expect("derived") > baseline,
+        "follower advanced past the pre-chain snapshot"
     );
     // And the derived snapshot serves fresh data: the chain's updates are
-    // visible well past the marker replica's stuck snapshot.
-    let mut q = meta_replica.begin_safe_query().unwrap();
+    // visible past the pre-chain snapshot.
+    let mut q = replica.begin_safe_query().unwrap();
     let sum: i64 = q
         .scan("kv")
         .unwrap()
@@ -372,17 +331,5 @@ fn metadata_mode_derives_safe_snapshots_where_markers_starve() {
         "safe query on the derived snapshot sees chain writes"
     );
     q.commit().unwrap();
-
-    // Closing the chain with nothing else in flight finally lets the marker
-    // protocol mark a safe snapshot again — both modes converge.
-    for link in open_links {
-        link.commit().unwrap();
-    }
-    marker_replica.catch_up();
-    assert_eq!(
-        marker_db.stats_report().repl_markers_shipped,
-        markers_before + 1,
-        "the quiescent final commit ships exactly one marker"
-    );
-    assert!(marker_replica.latest_safe_csn() > marker_baseline);
+    prev.commit().unwrap();
 }

@@ -1,138 +1,10 @@
-//! Regression tests for the replication layer's concurrency bugs:
-//!
-//! 1. the marker check-then-snapshot race — the old `append_commit` checked
-//!    `active_count() == 0` and then took `tm.snapshot()` as two separate
-//!    steps, so a serializable read/write transaction beginning in between
-//!    was shipped *inside* a marker the replica would trust as safe;
-//! 2. replica queries pinning the vacuum/SSI horizon past their lifetime
-//!    (including when the querying thread panics).
+//! Regression test for replica queries pinning the vacuum/SSI horizon past
+//! their lifetime (including when the querying thread panics).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use pgssi_common::{row, EngineConfig, ReplicationConfig};
-use pgssi_engine::{Database, IsolationLevel, Replica, TableDef, WalRecord};
-
-fn marker_db() -> Database {
-    let db = Database::new(EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..EngineConfig::default()
-    });
-    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
-        .unwrap();
-    db
-}
-
-/// One serializable read/write racer's observation: the WAL length read
-/// immediately after its begin completed, and its txid (whose commit record
-/// position in the stream is recovered afterwards).
-struct RacerObs {
-    wal_len_after_begin: usize,
-    txid: pgssi_common::TxnId,
-}
-
-/// Hammer racing serializable begins against committing writers and assert
-/// the positional invariant the atomic capture guarantees: no safe-snapshot
-/// marker may sit in the stream *between* a racer's begin and that racer's
-/// own commit record.
-///
-/// Why that is exactly the §7.2 soundness condition: every WAL append now
-/// runs inside the SSI commit-order critical section, so stream positions
-/// totally order those sections. `wal_len_after_begin <= marker_pos` proves
-/// the marker's capture section ran after the racer's begin section, and
-/// `marker_pos < commit_pos` proves it ran before the racer's commit section
-/// — i.e. the racer was an in-flight serializable read/write transaction at
-/// the instant the marker's snapshot was captured, which is precisely the
-/// state a safe-snapshot marker asserts cannot exist. On the pre-fix code
-/// the check and the snapshot straddled racing begins and this invariant is
-/// violated; with the capture inside the commit-order mutex it cannot be.
-#[test]
-fn marker_snapshot_is_never_concurrent_with_inflight_serializable_rw() {
-    for round in 0..3 {
-        let db = marker_db();
-        // Shipping is gated on an attached consumer; the assertions below
-        // read the stream this replica enables.
-        let _replica = Replica::connect(&db);
-        let stop = AtomicBool::new(false);
-        let observations: Mutex<Vec<RacerObs>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|s| {
-            // Committers: READ COMMITTED inserts, each commit a marker chance.
-            for c in 0..2 {
-                let db = db.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut k = 1_000_000 * (c + 1) + round; // fresh db per round
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut t = db.begin(IsolationLevel::ReadCommitted);
-                        t.insert("kv", row![k, 0]).unwrap();
-                        t.commit().unwrap();
-                        k += 1;
-                    }
-                });
-            }
-            // Racers: serializable read/write transactions on disjoint keys
-            // (no SSI conflicts, so every commit succeeds and ships a record).
-            for r in 0..4 {
-                let db = db.clone();
-                let stop = &stop;
-                let observations = &observations;
-                s.spawn(move || {
-                    let mut k = 10_000_000 * (r + 1) + round;
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut t = db.begin(IsolationLevel::Serializable);
-                        let wal_len_after_begin = db.wal().len();
-                        let txid = t.txid();
-                        t.insert("kv", row![k, 1]).unwrap();
-                        t.commit().unwrap();
-                        observations.lock().unwrap().push(RacerObs {
-                            wal_len_after_begin,
-                            txid,
-                        });
-                        k += 1;
-                    }
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(150));
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        // Recover stream positions: markers, and each racer commit record.
-        let records = db.wal().read_from(0);
-        let mut marker_positions = Vec::new();
-        let mut commit_pos = std::collections::HashMap::new();
-        for (pos, rec) in records.iter().enumerate() {
-            match rec {
-                WalRecord::SafeSnapshot { .. } => marker_positions.push(pos),
-                WalRecord::Commit { txid, .. } => {
-                    commit_pos.insert(*txid, pos);
-                }
-                WalRecord::Resolve { .. } => {}
-            }
-        }
-        let observations = observations.into_inner().unwrap();
-        assert!(
-            !observations.is_empty(),
-            "racers must have committed serializable transactions"
-        );
-        for obs in &observations {
-            let Some(&cpos) = commit_pos.get(&obs.txid) else {
-                panic!("committed racer {:?} has no WAL commit record", obs.txid);
-            };
-            for &mpos in &marker_positions {
-                assert!(
-                    !(obs.wal_len_after_begin <= mpos && mpos < cpos),
-                    "round {round}: marker at stream position {mpos} was captured while \
-                     serializable r/w {:?} was in flight (begin at WAL length {}, commit \
-                     record at {}): the marker race",
-                    obs.txid,
-                    obs.wal_len_after_begin,
-                    cpos
-                );
-            }
-        }
-    }
-}
+use pgssi_common::row;
+use pgssi_engine::{Database, IsolationLevel, Replica, TableDef};
 
 /// Replica queries allocate a real master txid and register the (old) safe
 /// snapshot's CSN in `active_snapshots` — both must be released when the

@@ -17,16 +17,18 @@
 //!   record every committed transaction, then check the TLA+-style SSI
 //!   properties (snapshot reads, first-committer-wins, serialization-graph
 //!   acyclicity) plus engine oracles (recovery ≡ independent prefix replay,
-//!   maintained snapshot ≡ rebuilt snapshot, marker placement).
+//!   maintained snapshot ≡ rebuilt snapshot).
 //! - [`runner`] — dispatch and reporting; the `sim_ssi` binary drives seed
 //!   sweeps from the command line and prints a replay line for any failure.
 //!
 //! Two scenarios double as regression fixtures: `pivot` and `repl` accept an
-//! `emulate` flag that re-enables a historical race behind its original gate
-//! (the pivot-precommit check race from the SSI core; the safe-snapshot
-//! marker race from marker-mode replication). Tests assert the harness finds
-//! each bug with the flag on and stays silent with it off — evidence the
-//! checker detects real violations, not just that the engine passes.
+//! `emulate` flag. For `pivot` it re-enables the historical pivot-precommit
+//! check race behind its original gate in the SSI core; for `repl` it sends
+//! replica queries to stale snapshots through the public
+//! `Replica::begin_stale_query` instead of safe ones. Tests assert the
+//! harness finds the anomaly with the flag on and stays silent with it off —
+//! evidence the checker detects real violations, not just that the engine
+//! passes.
 
 pub mod fault;
 pub mod history;

@@ -90,7 +90,8 @@ fn flatten(scenario: &'static str, seed: u64, outcome: Outcome) -> SeedOutcome {
 }
 
 /// Run one scenario under one seed. `emulate` re-enables the gated historical
-/// race in the scenarios that have one (`pivot`, `repl`); others ignore it.
+/// race in `pivot` and sends `repl`'s replica queries to stale snapshots;
+/// other scenarios ignore it.
 pub fn run_scenario(name: &str, seed: u64, scale: u32, emulate: bool) -> SeedOutcome {
     quiet_sim_panics();
     match name {

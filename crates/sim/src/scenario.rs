@@ -7,24 +7,26 @@
 //! |-----------|------------------------------------------|--------|
 //! | `mix`     | serializable OLTP mix, retries, wakeup faults | history (snapshot reads, FCW, SG acyclicity), snapshot oracle |
 //! | `crash`   | durable WAL + injected crash/torn-write/fsync faults | acked ⊆ recovered, recovery ≡ independent prefix replay |
-//! | `repl`    | §7.2 marker shipping + replica catch-up/reconnect | marker position invariant, no panics |
+//! | `repl`    | §8.4 WAL follower: replica catch-up/reconnect, safe queries beside write-skew and REPORT-shaped writers | history incl. replica queries (snapshot reads, FCW, SG acyclicity), snapshot oracle |
 //! | `pool`    | session pool + wire protocol under sim   | protocol responses, final row values, clean shutdown |
 //! | `cluster` | sharded engine, cross-shard 2PC yield edges | per-shard projected histories, merged cross-shard SG acyclicity, 2PC hygiene, fast-path invariant |
 //! | `pivot`   | write-skew battering (optionally with the historical pivot-precommit race re-enabled) | history SG acyclicity |
 //!
-//! `pivot` and `repl` take an `emulate` flag that re-introduces a historical
-//! race behind its gate; the regression tests assert the harness *finds* the
-//! bug on some seed with the flag on and stays clean with it off.
+//! `pivot` takes an `emulate` flag that re-introduces the historical
+//! pivot-precommit race behind its gate; `repl` takes one that sends replica
+//! queries to stale snapshots instead of safe ones. The regression tests
+//! assert the harness *finds* the anomaly on a pinned seed with the flag on
+//! and stays clean with it off.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pgssi_common::sim::{self, Scheduler, SimConfig, SimRun, Site};
-use pgssi_common::{row, EngineConfig, ReplicationConfig, ServerConfig, TxnId, Value};
+use pgssi_common::{row, EngineConfig, ServerConfig, TxnId, Value};
 use pgssi_engine::{
     decode_commit, with_retries, BeginOptions, Database, IsolationLevel, RedoOp, Replica,
-    ShardedDatabase, TableDef, Transaction, WalRecord,
+    ShardedDatabase, TableDef, Transaction,
 };
 use pgssi_server::{Server, Transport};
 use pgssi_storage::TxnStatus;
@@ -465,105 +467,98 @@ pub fn crash(seed: u64, scale: u32) -> Outcome {
 // repl
 // ---------------------------------------------------------------------------
 
-/// §7.2 marker-mode replication under sim: committers drive safe-snapshot
-/// markers, serializable racers try to slip into the marker window, a replica
-/// applies/reconnects concurrently. The invariant is positional: no
-/// safe-snapshot marker may sit in the stream between a committed racer's
-/// begin and that racer's commit record (such a marker would ship a
-/// "safe" snapshot with the racer's serializable r/w txn in flight).
+/// Skew-pair keys are `0..REPL_SKEW_KEYS`; the REPORT shape (paper Fig. 2)
+/// uses a control key and a receipts key after them.
+const REPL_SKEW_KEYS: i64 = 4;
+const CONTROL: i64 = REPL_SKEW_KEYS;
+const RECEIPTS: i64 = REPL_SKEW_KEYS + 1;
+
+/// §8.4 WAL-follower replication under sim: serializable write-skew pairs and
+/// a REPORT-shaped trio update keys on the master while replicas catch up,
+/// reconnect, and run read-only queries over those keys. Every committed
+/// replica query joins the history as a read-only transaction at its
+/// snapshot's CSN, so the snapshot-read, first-committer-wins and
+/// SG-acyclicity checks that judge the master judge the replica too.
+///
+/// The trio is Figure 2 across the replication boundary, choreographed in
+/// program order on one thread: NEW-RECEIPT (`T2`) reads the control key;
+/// CLOSE-BATCH (`T3`) rewrites it and commits; the REPORT (`T1`) runs on a
+/// replica and reads every key; only then does `T2` write the receipts key
+/// and commit, and the REPORT runs once more. The master sees only
+/// `T2 rw→ T3` and rightly commits both. A
+/// REPORT on the snapshot right after `T3`'s commit closes the cycle
+/// `T1 rw→ T2 rw→ T3 wr→ T1`; the follower must never call that snapshot
+/// safe, because `T2` was in flight when it was taken.
+///
+/// With `emulate`, replica queries use [`Replica::begin_stale_query`] (the
+/// "run at a weaker level" option of §7.2) instead of
+/// [`Replica::begin_safe_query`], and the checker reports the cycle.
 pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
     let plan = FaultPlan::none();
-    let cfg = EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..Default::default()
-    };
-    let db = Database::new(cfg);
+    let db = Database::open();
     db.create_table(TableDef::new("acct", &["k", "v"], vec![0]))
         .unwrap();
-    {
-        let mut txn = db
-            .begin_with(BeginOptions::new(IsolationLevel::ReadCommitted))
-            .unwrap();
-        for k in 0..8i64 {
-            txn.insert("acct", row![k, 1_000 + k]).unwrap();
+    // Attach before seeding, so the genesis commit ships and the standing
+    // replica starts from a safe snapshot that covers it.
+    let replica = Arc::new(Replica::connect(&db));
+    let hist = Arc::new(History::new());
+    seed_rows(&db, &hist, "acct", RECEIPTS + 1);
+    replica.catch_up();
+    let rounds = 4 * scale as usize;
+    let query = move |r: &Replica| {
+        if emulate {
+            Some(r.begin_stale_query())
+        } else {
+            r.begin_safe_query()
         }
-        txn.commit().unwrap();
-    }
-    if emulate {
-        db.wal().set_emulate_marker_race(true);
-    }
-    let replica = Replica::connect(&db); // attach first: shipping starts here
-
-    // Committed racers: (txid, wal length right after their begin).
-    let racers: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let rounds = 8 * scale as usize;
+    };
 
     let mut roots: Vec<(String, Box<dyn FnOnce() + Send>)> = Vec::new();
-    for t in 0..2usize {
-        let db = db.clone();
-        roots.push((
-            format!("committer-{t}"),
-            Box::new(move || {
-                // Read-committed single-row bumps: every commit is a marker
-                // candidate (no serializable r/w in flight => marker).
-                for j in 0..rounds {
-                    let Ok(mut txn) =
-                        db.begin_with(BeginOptions::new(IsolationLevel::ReadCommitted))
-                    else {
-                        return;
-                    };
-                    let k = t as i64; // disjoint keys: no write conflicts
-                    if txn
-                        .update("acct", &row![k], row![k, (j as i64 + 2) * 10])
-                        .is_ok()
-                    {
-                        let _ = txn.commit();
+    for p in 0..REPL_SKEW_KEYS / 2 {
+        for side in 0..2i64 {
+            let (db, hist) = (db.clone(), Arc::clone(&hist));
+            let t = (p * 2 + side) as usize;
+            let plan = OpPlan {
+                reads: vec![p * 2, p * 2 + 1],
+                write: Some(p * 2 + side),
+            };
+            roots.push((
+                format!("skew-{p}-{side}"),
+                Box::new(move || {
+                    let mut attempts = 0u64;
+                    for j in 0..rounds {
+                        let label = format!("skew{p}.{side}/{j}");
+                        run_recorded(&db, &hist, &plan, label, t, &mut attempts);
                     }
-                }
-            }),
-        ));
+                }),
+            ));
+        }
     }
-    for t in 0..2usize {
-        let db = db.clone();
-        let racers = Arc::clone(&racers);
+    {
+        let (db, hist, replica) = (db.clone(), Arc::clone(&hist), Arc::clone(&replica));
         roots.push((
-            format!("racer-{t}"),
+            "report".to_string(),
             Box::new(move || {
-                for j in 0..rounds {
-                    let Ok(mut txn) =
-                        db.begin_with(BeginOptions::new(IsolationLevel::Serializable))
-                    else {
-                        return;
-                    };
-                    let begin_len = db.wal().len();
-                    let k = 4 + t as i64;
-                    let txid = txn.txid().0;
-                    let readable = txn.get("acct", &row![k]).is_ok();
-                    if readable
-                        && txn
-                            .update("acct", &row![k], row![k, uniq_val(t, j as u64 + 1, k)])
-                            .is_ok()
-                        && txn.commit().is_ok()
-                    {
-                        racers.lock().push((txid, begin_len));
-                    }
+                // Nothing else writes the trio's keys, so every round must
+                // complete: a skipped REPORT would leave the oracle nothing
+                // to judge (the panic is reported as a violation).
+                for r in 1..=rounds {
+                    report_round(&db, &hist, &replica, query, r).expect("REPORT round failed");
                 }
             }),
         ));
     }
     {
-        let db = db.clone();
+        let (db, hist) = (db.clone(), Arc::clone(&hist));
         roots.push((
             "replica".to_string(),
             Box::new(move || {
                 let mut replica = Replica::connect(&db);
-                for round in 0..rounds * 2 {
+                for round in 0..rounds * 4 {
                     sim::yield_point(Site::DriverStep);
                     replica.catch_up();
-                    // Safe queries only ever run on marked snapshots; a scan
-                    // through one must not error.
-                    if let Some(mut q) = replica.begin_safe_query() {
-                        let _ = q.scan("acct");
+                    if let Some(q) = query(&replica) {
+                        record_query(&hist, q, format!("replica/{round}"));
                     }
                     // Periodic disconnect/reconnect: a fresh replica must
                     // re-derive safety from the stream alone.
@@ -577,34 +572,7 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
 
     let run = Scheduler::run(sim_config(seed, &plan), roots);
     let mut violations = Vec::new();
-    if let Some(f) = &run.failed {
-        violations.push(format!("scheduler: {f}"));
-    }
-    for p in &run.panics {
-        violations.push(format!("unexpected panic: {p}"));
-    }
-
-    // Positional marker invariant over the shipped stream.
-    let records = db.wal().read_from(0);
-    for &(txid, begin_len) in racers.lock().iter() {
-        let Some(cpos) = records
-            .iter()
-            .position(|r| matches!(r, WalRecord::Commit { txid: t, .. } if t.0 == txid))
-        else {
-            violations.push(format!(
-                "committed racer txid {txid} has no commit record in the stream"
-            ));
-            continue;
-        };
-        for (mpos, r) in records.iter().enumerate() {
-            if matches!(r, WalRecord::SafeSnapshot { .. }) && begin_len <= mpos && mpos < cpos {
-                violations.push(format!(
-                    "marker race: safe-snapshot marker at stream position {mpos} \
-                     inside racer txid {txid}'s window [{begin_len}, {cpos})"
-                ));
-            }
-        }
-    }
+    common_checks(&db, &hist, &run, &mut violations);
     // The standing replica must be able to drain the final stream.
     replica.catch_up();
 
@@ -613,6 +581,80 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
         violations,
         plan,
     }
+}
+
+/// Read every replicated key in a replica query, commit it, and record it as
+/// a read-only transaction at its snapshot's CSN.
+fn record_query(hist: &History, mut q: Transaction, label: String) {
+    let scsn = q.snapshot().csn.0;
+    let txid = q.txid().0;
+    let mut reads = Vec::new();
+    for k in 0..=RECEIPTS {
+        let row = q
+            .get("acct", &row![k])
+            .unwrap()
+            .expect("keys are pre-seeded");
+        reads.push((k, int(&row[1])));
+    }
+    q.commit().unwrap();
+    hist.push(CommittedTxn {
+        label,
+        txid,
+        snapshot_csn: scsn,
+        commit_csn: scsn,
+        reads,
+        writes: Vec::new(),
+    });
+}
+
+/// Round `r` of the REPORT trio (see [`repl`]).
+fn report_round(
+    db: &Database,
+    hist: &History,
+    replica: &Replica,
+    query: impl Fn(&Replica) -> Option<Transaction>,
+    r: usize,
+) -> pgssi_common::Result<()> {
+    // Read the control key, write `key`: the shape of both master writers.
+    let begin = |key: i64| -> pgssi_common::Result<(Transaction, CommittedTxn)> {
+        let mut txn = db.begin_with(BeginOptions::new(IsolationLevel::Serializable))?;
+        let seen = txn
+            .get("acct", &row![CONTROL])?
+            .expect("keys are pre-seeded");
+        let rec = CommittedTxn {
+            label: format!("{}/{r}", if key == CONTROL { "close" } else { "receipt" }),
+            txid: txn.txid().0,
+            snapshot_csn: txn.snapshot().csn.0,
+            commit_csn: 0, // filled in after commit
+            reads: vec![(CONTROL, int(&seen[1]))],
+            writes: vec![(key, uniq_val(7, r as u64, key))],
+        };
+        Ok((txn, rec))
+    };
+    let commit = |mut txn: Transaction, mut rec: CommittedTxn| {
+        let (k, v) = rec.writes[0];
+        txn.update("acct", &row![k], row![k, v])?;
+        txn.commit()?;
+        rec.commit_csn = commit_csn(db, rec.txid);
+        hist.push(rec);
+        Ok(())
+    };
+    let report = |label: String| {
+        replica.catch_up();
+        let q = query(replica).expect("the standing replica has a safe snapshot");
+        record_query(hist, q, label);
+    };
+    let receipt = begin(RECEIPTS)?;
+    let (close, rec) = begin(CONTROL)?;
+    commit(close, rec)?;
+    report(format!("report/{r}"));
+    commit(receipt.0, receipt.1)?;
+    // Again once NEW-RECEIPT has committed: resolving the pending set is not
+    // enough, the follower must also have proven CLOSE-BATCH's snapshot
+    // unsafe (it stays the newest drained candidate while writers of later
+    // candidates are still in flight).
+    report(format!("report/{r}+"));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 //! Simulation-harness regression suite: pinned seeds for the historical
-//! races, determinism and fault-soundness guarantees, and clean sweeps.
+//! pivot race and the stale-replica REPORT anomaly, determinism and
+//! fault-soundness guarantees, and clean sweeps.
 //!
 //! Seeds pinned here were once failing (or demonstrate a planted bug via an
 //! emulation gate) and must stay pinned even after the underlying code moves:
@@ -82,19 +83,24 @@ fn pivot_clean_without_emulation() {
     }
 }
 
-/// PR 5's safe-snapshot marker race, re-enabled behind its gate: the marker
-/// publish yields between snapshot capture and WAL append, so a concurrent
-/// commit slots in between and the marker's position invariant breaks.
-/// Seed 0 is the pinned reproduction.
+/// The paper's Figure 2 REPORT across the replication boundary: with
+/// `emulate` the replica REPORT runs on a stale snapshot taken right after
+/// CLOSE-BATCH commits while NEW-RECEIPT is still in flight, and the history
+/// checker must report the `REPORT rw→ NEW-RECEIPT rw→ CLOSE-BATCH wr→
+/// REPORT` cycle. Seed 0 is the pinned reproduction.
 #[test]
-fn repl_emulation_reproduces_marker_race() {
+fn repl_stale_queries_report_sg_cycle() {
     let out = run_scenario("repl", 0, 1, true);
     assert!(
-        !out.violations.is_empty(),
-        "emulated marker race not detected on pinned seed 0"
+        out.violations.iter().any(|v| v.contains("cycle")),
+        "stale replica REPORT not detected on pinned seed 0: {:?}",
+        out.violations
     );
 }
 
+/// The same choreography on safe snapshots: the follower keeps the
+/// post-CLOSE-BATCH candidate pending on NEW-RECEIPT and then proves it
+/// unsafe, so every replica query stays serializable on every seed.
 #[test]
 fn repl_clean_without_emulation() {
     for seed in 0..16 {
@@ -137,6 +143,23 @@ fn mix_writeless_finish_seeds_stay_clean() {
         assert!(
             out.violations.is_empty(),
             "mix seed {seed} regressed: {:?}",
+            out.violations
+        );
+    }
+}
+
+/// Cluster seeds 40, 214 and 240 are pinned: each once committed a
+/// distributed pivot whose in-edge formed on one shard after that branch's
+/// PREPARE had captured its conflict facts but before the branch was marked
+/// conservative, so neither the coordinator's union rule nor the marked
+/// record saw the edge, and the merged serialization graph had a cycle.
+#[test]
+fn cluster_prepare_window_seeds_stay_clean() {
+    for seed in [40u64, 214, 240] {
+        let out = run_scenario("cluster", seed, 1, false);
+        assert!(
+            out.violations.is_empty(),
+            "cluster seed {seed} regressed: {:?}",
             out.violations
         );
     }
