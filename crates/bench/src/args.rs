@@ -270,8 +270,8 @@ mod tests {
     const FLAGS: &[Flag] = &[
         ("--duration-ms", Takes::Num, "run length"),
         ("--threads", Takes::Num, "threads"),
-        ("--partitions", Takes::List, "partition sweep"),
-        ("--graph-shards", Takes::List, "graph-shard sweep"),
+        ("--read-batch", Takes::List, "read-batch sweep"),
+        ("--shards", Takes::List, "shard sweep"),
         ("--json", Takes::Nothing, "append JSON"),
     ];
 
@@ -304,10 +304,10 @@ mod tests {
 
     #[test]
     fn list_parses_sweeps_and_single_values() {
-        let a = args(&["x", "--partitions", "1,4,16,64", "--graph-shards", "8"]);
-        assert_eq!(a.list("--partitions"), Some(vec![1, 4, 16, 64]));
-        assert_eq!(a.list("--graph-shards"), Some(vec![8]));
-        assert_eq!(args(&["x"]).list("--partitions"), None);
+        let a = args(&["x", "--read-batch", "1,4,16,64", "--shards", "8"]);
+        assert_eq!(a.list("--read-batch"), Some(vec![1, 4, 16, 64]));
+        assert_eq!(a.list("--shards"), Some(vec![8]));
+        assert_eq!(args(&["x"]).list("--read-batch"), None);
     }
 
     #[test]
@@ -345,8 +345,8 @@ mod tests {
     fn values_that_do_not_parse_are_rejected() {
         assert!(invalid(&["x", "--threads", "four"]).contains("got `four`"));
         assert!(invalid(&["x", "--threads", "-1"]).contains("got `-1`"));
-        assert!(invalid(&["x", "--partitions", "1,x,16"]).contains("got `1,x,16`"));
-        assert!(invalid(&["x", "--partitions", "1,,16"]).contains("got `1,,16`"));
+        assert!(invalid(&["x", "--read-batch", "1,x,16"]).contains("got `1,x,16`"));
+        assert!(invalid(&["x", "--read-batch", "1,,16"]).contains("got `1,,16`"));
         assert!(invalid(&["x", "--threads"]).contains("needs N"));
         // The next flag is not a value.
         assert!(invalid(&["x", "--threads", "--stats"]).contains("got `--stats`"));
@@ -359,7 +359,7 @@ mod tests {
         for (name, _, _) in FLAGS.iter().chain(COMMON) {
             assert!(text.contains(name), "usage misses {name}");
         }
-        assert!(text.contains("--partitions N[,N...]"));
+        assert!(text.contains("--read-batch N[,N...]"));
         assert!(text.contains("--threads N "));
         assert!(text.contains("--help"));
     }
@@ -373,6 +373,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "is declared as")]
     fn reading_a_flag_as_the_wrong_kind_is_a_bug() {
-        args(&["x"]).value("--partitions");
+        args(&["x"]).value("--read-batch");
     }
 }

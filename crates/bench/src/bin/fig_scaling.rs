@@ -4,32 +4,21 @@
 //!
 //! This is the repo's self-measured scalability figure. The paper (§7, §8)
 //! attributes SSI's residual overhead largely to contention on the lock
-//! manager's lightweight locks; the partitioned SIREAD table and the sharded
-//! conflict-graph registry exist to move that contention off single mutexes,
-//! and this binary is the ablation for both: `--partitions 1` restores the
-//! old single-mutex SIREAD table, `--graph-shards 1` the single-map record
-//! registry (the per-sxact edge locks stay).
+//! manager's lightweight locks; the 16-partition SIREAD table, per-record
+//! conflict-edge locks and read-set batching keep that contention off single
+//! mutexes.
 //!
-//! Both flags accept **comma-separated sweep lists** — one invocation of
-//!
-//! ```sh
-//! fig_scaling --json --partitions 1,4,16,64 --graph-shards 1,4,16
-//! ```
-//!
-//! measures the full cross product and, with `--json`, appends one
-//! machine-readable run record (a single JSON line with the thread/TPS
-//! matrix) **per point** to `BENCH_scaling.json` in the working directory —
-//! the data trail for the lock-partition sizing study in ROADMAP (pick the
-//! defaults from the recorded trajectory, not from PostgreSQL's constants).
-//!
-//! `--read-batch` (also a sweep list) is the read-set batching ablation:
-//! `--read-batch 1,64` measures the eager per-read SIREAD path against the
-//! batched one on otherwise identical configurations.
+//! `--read-batch` takes a **comma-separated sweep list** and is the read-set
+//! batching ablation: `--read-batch 1,64` measures the eager per-read SIREAD
+//! path against the batched one on otherwise identical configurations. With
+//! `--json`, each point appends one machine-readable run record (a single
+//! JSON line with the thread/TPS matrix) to `BENCH_scaling.json` in the
+//! working directory.
 //!
 //! ```sh
 //! cargo run --release -p pgssi-bench --bin fig_scaling \
-//!     [-- --duration-ms 800 --max-threads 16 --partitions 16 --graph-shards 16 \
-//!         --read-batch 1,32 --rows 1024 --stats --json]
+//!     [-- --duration-ms 800 --max-threads 16 --read-batch 1,32 --rows 1024 \
+//!         --stats --json]
 //! ```
 
 use std::time::Duration;
@@ -43,8 +32,6 @@ use pgssi_common::IoModel;
 const FLAGS: &[Flag] = &[
     ("--duration-ms", Num, "measured time per cell in ms (default 800)"),
     ("--max-threads", Num, "largest thread count of the 1,2,4,.. sweep (default 16)"),
-    ("--partitions", List, "SIREAD lock-table partition sweep (default 16)"),
-    ("--graph-shards", List, "conflict-graph shard sweep (default 16)"),
     ("--read-batch", List, "read-set batch size sweep (default 32)"),
     ("--rows", Num, "table rows (default 1024)"),
     ("--json", Nothing, "append one record per point to BENCH_scaling.json"),
@@ -54,8 +41,6 @@ fn main() {
     let args = BenchArgs::parse(FLAGS);
     let duration = args.duration_or(800);
     let max_threads = args.usize_or("--max-threads", 16);
-    let partitions_sweep = args.list("--partitions").unwrap_or_else(|| vec![16]);
-    let graph_shards_sweep = args.list("--graph-shards").unwrap_or_else(|| vec![16]);
     let read_batch_sweep = args
         .list("--read-batch")
         .unwrap_or_else(|| vec![pgssi_common::SsiConfig::default().read_batch as u64]);
@@ -69,49 +54,26 @@ fn main() {
 
     let bench = Sibench { table_size: rows };
     println!("Throughput scaling: SIBENCH read-mostly mix (90% 4-point-reads, 10% updates)");
-    println!(
-        "table: {rows} rows; {duration:?} per cell; sweep: partitions {partitions_sweep:?} × \
-         graph-shards {graph_shards_sweep:?} × read-batch {read_batch_sweep:?}"
-    );
+    println!("table: {rows} rows; {duration:?} per cell; sweep: read-batch {read_batch_sweep:?}");
 
-    for &partitions in &partitions_sweep {
-        for &graph_shards in &graph_shards_sweep {
-            for &read_batch in &read_batch_sweep {
-                run_point(
-                    &args,
-                    &bench,
-                    &threads,
-                    duration,
-                    rows,
-                    partitions as usize,
-                    graph_shards as usize,
-                    read_batch as usize,
-                );
-            }
-        }
+    for &read_batch in &read_batch_sweep {
+        run_point(&args, &bench, &threads, duration, rows, read_batch as usize);
     }
 
     println!("\nexpected shape: SSI tracks SI's scaling curve (the partitioned SIREAD");
-    println!("table and sharded conflict graph keep disjoint work on disjoint mutexes);");
-    println!("with --partitions 1 the SSI curve flattens as every read serializes on one");
-    println!("table-wide mutex, and --graph-shards 1 funnels record lookups the same way.");
+    println!("table and per-record conflict locks keep disjoint work on disjoint mutexes);");
+    println!("with --read-batch 1 every read takes a partition mutex again.");
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_point(
     args: &BenchArgs,
     bench: &Sibench,
     threads: &[usize],
     duration: Duration,
     rows: i64,
-    partitions: usize,
-    graph_shards: usize,
     read_batch: usize,
 ) {
-    println!(
-        "\n── SIREAD partitions: {partitions}; graph shards: {graph_shards}; \
-         read-batch: {read_batch} ──"
-    );
+    println!("\n── read-batch: {read_batch} ──");
     print!("{:>8}", "threads");
     for mode in Mode::MAIN {
         print!("  {:>9} {:>7}", mode.label(), "x1thr");
@@ -124,8 +86,6 @@ fn run_point(
         .iter()
         .map(|mode| {
             let mut config = mode.config(IoModel::in_memory());
-            config.ssi.lock_partitions = partitions;
-            config.ssi.graph_shards = graph_shards;
             config.ssi.read_batch = read_batch;
             config.obs = args.obs();
             (*mode, bench.setup_with(config))
@@ -188,8 +148,8 @@ fn run_point(
             .collect::<Vec<_>>()
             .join(",");
         let record = format!(
-            "{{\"bench\":\"fig_scaling\",\"unix_ms\":{unix_ms},\"partitions\":{partitions},\
-             \"graph_shards\":{graph_shards},\"read_batch\":{read_batch},\"rows\":{rows},\
+            "{{\"bench\":\"fig_scaling\",\"unix_ms\":{unix_ms},\
+             \"read_batch\":{read_batch},\"rows\":{rows},\
              \"duration_ms\":{},\"threads\":{},\"tps\":{{{modes}}},\
              \"latency\":{{{latency}}}}}",
             duration.as_millis(),
@@ -203,10 +163,7 @@ fn run_point(
     }
 
     for ((mode, db), baseline) in dbs.iter().zip(&baselines) {
-        let label = format!(
-            "{} p{partitions} g{graph_shards} rb{read_batch}",
-            mode.label()
-        );
+        let label = format!("{} rb{read_batch}", mode.label());
         args.print_stats_since(&label, db, baseline);
         args.print_latency(&label, db);
     }

@@ -18,9 +18,9 @@
 //!
 //! A fifth binary, `fig_scaling`, is the repo's own figure rather than the
 //! paper's: committed-throughput scaling over threads 1→16 for SI/SSI/S2PL on
-//! the SIBENCH read-mostly mix, with `--partitions N` exposing the SIREAD
-//! lock-table partition count (N = 1 reproduces the pre-partitioning
-//! single-mutex behavior for ablation). Every binary accepts `--stats` to
+//! the SIBENCH read-mostly mix, with `--read-batch N` sweeping the read-set
+//! batch size (N = 1 is the eager per-read SIREAD publication ablation).
+//! Every binary accepts `--stats` to
 //! print the aggregated [`pgssi_engine::Database::stats_report`] after the run.
 
 pub mod args;

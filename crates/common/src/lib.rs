@@ -17,9 +17,7 @@ pub mod stats;
 pub mod target;
 pub mod value;
 
-pub use config::{
-    EngineConfig, IoModel, ObsConfig, ServerConfig, SsiConfig, TxnConfig, WalConfig, WalMode,
-};
+pub use config::{EngineConfig, IoModel, ObsConfig, ServerConfig, SsiConfig, WalConfig, WalMode};
 pub use error::{Error, Result, SerializationKind};
 pub use ids::{CommitSeqNo, PageNo, RelId, SlotNo, TupleId, TxnId};
 pub use snapshot::Snapshot;

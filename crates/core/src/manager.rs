@@ -7,9 +7,8 @@
 //! contention point; here the graph is decentralized the way Wang & Johnson's
 //! SSN keeps per-transaction summary state:
 //!
-//! * the **record registry** (`SxactId → record`, `TxnId → record`) is hashed
-//!   into [`SsiConfig::graph_shards`] mutex-guarded maps (`--graph-shards 1`
-//!   reproduces a single-map registry for ablation);
+//! * the **record registry** (`SxactId → record`, `TxnId → record`) is one
+//!   leaf mutex over both maps, held only for a lookup, insert or removal;
 //! * each record's conflict-edge state has **its own lock** ([`Sxact::lock`]),
 //!   and scalar facts third parties need (phase, commit/prepare CSN, wrote,
 //!   read-only safety, doomed) are lock-free atomics on the record;
@@ -29,9 +28,9 @@
 //!    order mutex, records may be locked **one at a time** (commit's CSN fold,
 //!    read-only tracking, cleanup's peer fix-ups); never hold one record's
 //!    lock while acquiring another outside `lock_pair`.
-//! 3. **registry shard mutexes**: leaf-level — lookups clone the `Arc` and
-//!    release the shard before any record lock is taken; insertion/removal may
-//!    run under the order mutex or a record lock.
+//! 3. the **registry mutex**: leaf-level — lookups clone the `Arc` and
+//!    release the registry before any record lock is taken; insertion/removal
+//!    may run under the order mutex or a record lock.
 //! 4. the SIREAD lock manager and the serial table sit strictly below all of
 //!    the above (either may be called with graph locks held; neither calls
 //!    back in). The transaction manager's locks (via the `begin`/`commit`
@@ -202,61 +201,48 @@ pub struct SsiStats {
     pub commit_order_ns: Histogram,
 }
 
-/// Sharded record registry: `SxactId → record` and `TxnId → record`
-/// (subtransaction aliases included). Shard mutexes are leaf-level.
-struct Registry {
-    by_id: Box<[Mutex<HashMap<u64, SxRef>>]>,
-    by_txid: Box<[Mutex<HashMap<TxnId, SxRef>>]>,
+/// Record registry: `SxactId → record` and `TxnId → record` (subtransaction
+/// aliases included), both behind one leaf mutex — the scope of PostgreSQL's
+/// `SerializableXactHashLock`. Conflict state lives on the records, not here.
+#[derive(Default)]
+struct Registry(Mutex<RegistryMaps>);
+
+#[derive(Default)]
+struct RegistryMaps {
+    by_id: HashMap<u64, SxRef>,
+    by_txid: HashMap<TxnId, SxRef>,
 }
 
 impl Registry {
-    fn new(shards: usize) -> Registry {
-        let shards = shards.max(1);
-        Registry {
-            by_id: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            by_txid: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    #[inline]
-    fn id_shard(&self, id: SxactId) -> &Mutex<HashMap<u64, SxRef>> {
-        &self.by_id[(id.0 as usize) % self.by_id.len()]
-    }
-
-    #[inline]
-    fn txid_shard(&self, txid: TxnId) -> &Mutex<HashMap<TxnId, SxRef>> {
-        &self.by_txid[(txid.0 as usize) % self.by_txid.len()]
-    }
-
     fn get(&self, id: SxactId) -> Option<SxRef> {
-        self.id_shard(id).lock().get(&id.0).cloned()
+        self.0.lock().by_id.get(&id.0).cloned()
     }
 
     fn get_txid(&self, txid: TxnId) -> Option<SxRef> {
-        self.txid_shard(txid).lock().get(&txid).cloned()
+        self.0.lock().by_txid.get(&txid).cloned()
     }
 
     fn insert(&self, rec: &SxRef) {
-        self.id_shard(rec.id)
-            .lock()
-            .insert(rec.id.0, Arc::clone(rec));
-        self.insert_txid(rec.txid, rec);
+        let mut maps = self.0.lock();
+        maps.by_id.insert(rec.id.0, Arc::clone(rec));
+        maps.by_txid.insert(rec.txid, Arc::clone(rec));
     }
 
     fn insert_txid(&self, txid: TxnId, rec: &SxRef) {
-        self.txid_shard(txid).lock().insert(txid, Arc::clone(rec));
+        self.0.lock().by_txid.insert(txid, Arc::clone(rec));
     }
 
     fn remove(&self, id: SxactId, txid: TxnId, aliases: &[TxnId]) {
-        self.id_shard(id).lock().remove(&id.0);
-        self.txid_shard(txid).lock().remove(&txid);
+        let mut maps = self.0.lock();
+        maps.by_id.remove(&id.0);
+        maps.by_txid.remove(&txid);
         for a in aliases {
-            self.txid_shard(*a).lock().remove(a);
+            maps.by_txid.remove(a);
         }
     }
 
     fn record_count(&self) -> usize {
-        self.by_id.iter().map(|s| s.lock().len()).sum()
+        self.0.lock().by_id.len()
     }
 }
 
@@ -340,7 +326,7 @@ impl SsiManager {
         SsiManager {
             siread: SireadLockManager::new(config.clone()),
             serial: SerialTable::new(config.serial_ram_pages),
-            reg: Registry::new(config.graph_shards),
+            reg: Registry::default(),
             config,
             next_id: AtomicU64::new(1),
             order: Mutex::new(CommitOrder {
@@ -394,11 +380,6 @@ impl SsiManager {
     /// The serial overflow table (diagnostics and tests).
     pub fn serial(&self) -> &SerialTable {
         &self.serial
-    }
-
-    /// Number of registry shards (diagnostics).
-    pub fn graph_shards(&self) -> usize {
-        self.reg.by_id.len()
     }
 
     // ------------------------------------------------------------------
@@ -477,7 +458,7 @@ impl SsiManager {
             return;
         }
         g.alias_txids.push(subxid);
-        // Registered while the record's lock is held (registry shards are
+        // Registered while the record's lock is held (the registry mutex is
         // leaf-level): a racing removal either sees the alias in the list (it
         // drains aliases under this same lock) or has already set `gone`.
         self.reg.insert_txid(subxid, &rec);
@@ -500,7 +481,7 @@ impl SsiManager {
     /// for the access path). No-op for transactions on safe snapshots.
     ///
     /// The safety flag is an atomic on the record, so this path takes no graph
-    /// lock at all beyond the registry-shard lookup: if a concurrent
+    /// lock at all beyond the registry lookup: if a concurrent
     /// safe-snapshot determination releases this owner between the check and
     /// the acquisitions (§4.2), the lock manager drops acquisitions for
     /// released owners, so the transaction still ends holding nothing.
@@ -637,7 +618,7 @@ impl SsiManager {
         // `e < my snapshot`; see DESIGN.md): t3 committed first (e < W's commit)
         // and, if the read-only rule applies to me, e < my snapshot.
         if e != CommitSeqNo::MAX && e.is_valid() {
-            let commit_order_ok = !self.config.enable_commit_ordering_opt || e < w_commit;
+            let commit_order_ok = e < w_commit;
             let ro_ok =
                 !(self.config.enable_read_only_opt && me.is_read_only()) || e < me.snapshot_csn;
             if commit_order_ok && ro_ok {
@@ -749,17 +730,9 @@ impl SsiManager {
                     let mut mg = me.lock();
                     mg.summary_conflict_in = true;
                     let e = mg.earliest_out_conflict_commit;
-                    let has_out = !mg.out_conflicts.is_empty()
-                        || mg.summary_conflict_out
-                        || e != CommitSeqNo::MAX;
-                    let dangerous = if self.config.enable_commit_ordering_opt {
-                        // t3 must have committed before t1 (bounded above by c)
-                        // and before me (uncommitted → unbounded).
-                        e != CommitSeqNo::MAX && e < c
-                    } else {
-                        has_out
-                    };
-                    if dangerous {
+                    // t3 must have committed before t1 (bounded above by c)
+                    // and before me (uncommitted → unbounded).
+                    if e != CommitSeqNo::MAX && e < c {
                         self.stats.dangerous_structures.bump();
                         self.stats.summary_aborts.bump();
                         self.stats.aborts_self.bump();
@@ -850,19 +823,15 @@ impl SsiManager {
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
         let e = t2g.earliest_out_conflict_commit;
-        let dangerous = if self.config.enable_commit_ordering_opt {
-            // T3 must be the first of the three to commit (§3.3.1). The
-            // comparisons are non-strict because T1 and T3 may be the *same*
-            // transaction (2-cycles like write skew): then e == t1's CSN and
-            // the structure is still dangerous. Prepared-but-uncommitted
-            // transactions count as "not committed yet" (bound = ∞): their
-            // prepare CSN is only a lower bound on the eventual commit.
-            let t1_bound = t1.commit_csn().unwrap_or(CommitSeqNo::MAX);
-            let t2_bound = t2.commit_csn().unwrap_or(CommitSeqNo::MAX);
-            e != CommitSeqNo::MAX && e <= t1_bound && e <= t2_bound
-        } else {
-            !t2g.out_conflicts.is_empty() || t2g.summary_conflict_out || e != CommitSeqNo::MAX
-        };
+        // T3 must be the first of the three to commit (§3.3.1). The
+        // comparisons are non-strict because T1 and T3 may be the *same*
+        // transaction (2-cycles like write skew): then e == t1's CSN and
+        // the structure is still dangerous. Prepared-but-uncommitted
+        // transactions count as "not committed yet" (bound = ∞): their
+        // prepare CSN is only a lower bound on the eventual commit.
+        let t1_bound = t1.commit_csn().unwrap_or(CommitSeqNo::MAX);
+        let t2_bound = t2.commit_csn().unwrap_or(CommitSeqNo::MAX);
+        let dangerous = e != CommitSeqNo::MAX && e <= t1_bound && e <= t2_bound;
         if !dangerous {
             return Ok(());
         }
@@ -893,18 +862,16 @@ impl SsiManager {
         acting: SxactId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
-        if self.config.enable_commit_ordering_opt && t3_csn.is_none() {
+        let Some(c) = t3_csn else {
             // Nothing to do until T3 commits (safe-retry rule 1, §5.4); the
             // pre-commit check on T3 handles it.
             return Ok(());
-        }
-        if let (Some(c), Some(t2_commit)) = (t3_csn, t2.commit_csn()) {
-            if self.config.enable_commit_ordering_opt && c > t2_commit {
-                return Ok(()); // T2 committed before T3: T3 is not first
-            }
+        };
+        if t2.commit_csn().is_some_and(|t2_commit| c > t2_commit) {
+            return Ok(()); // T2 committed before T3: T3 is not first
         }
         // BTreeSet iteration: candidates are visited in ascending id order, so
-        // victim choice is deterministic across registry-shard counts.
+        // victim choice is deterministic.
         let mut candidates: Vec<Option<SxRef>> = t2g
             .in_conflicts
             .iter()
@@ -925,16 +892,9 @@ impl SsiManager {
                     // Non-strict: T1 may be T3 itself (2-cycles). Prepared
                     // counts as uncommitted (see check_pivot_out).
                     let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                    let commit_order_ok = if self.config.enable_commit_ordering_opt {
-                        t3_csn.map(|c| c <= t1_bound).unwrap_or(false)
-                    } else {
-                        true
-                    };
-                    let ro_ok = if self.config.enable_read_only_opt && t1x.is_read_only() {
-                        t3_csn.map(|c| c < t1x.snapshot_csn).unwrap_or(false)
-                    } else {
-                        true
-                    };
+                    let commit_order_ok = c <= t1_bound;
+                    let ro_ok = !(self.config.enable_read_only_opt && t1x.is_read_only())
+                        || c < t1x.snapshot_csn;
                     commit_order_ok && ro_ok
                 }
                 // Summarized T1: conservatively dangerous (identity and commit
@@ -1139,7 +1099,7 @@ impl SsiManager {
                         }
                         // Non-strict: T1 may be T3 itself (2-cycles).
                         let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                        let co = !self.config.enable_commit_ordering_opt || e <= t1_bound;
+                        let co = e <= t1_bound;
                         let ro = !(self.config.enable_read_only_opt && t1x.is_read_only())
                             || e < t1x.snapshot_csn;
                         co && ro

@@ -1,6 +1,6 @@
 //! Serializable-transaction records (`SERIALIZABLEXACT` in PostgreSQL).
 //!
-//! Since the conflict-graph sharding, a record is a shared [`Sxact`] handle
+//! With the conflict graph decentralized, a record is a shared [`Sxact`] handle
 //! (`Arc<Sxact>` throughout the manager) split into three tiers by how it is
 //! synchronized:
 //!

@@ -155,14 +155,10 @@ pub struct StatsReport {
     pub ssi_safe_snapshots: u64,
     /// Committed transactions summarized under memory pressure.
     pub ssi_summarized: u64,
-    /// Number of conflict-graph registry shards.
-    pub ssi_graph_shards: usize,
     /// SIREAD lock acquisitions.
     pub siread_acquisitions: u64,
     /// SIREAD granularity promotions (tuple→page, page→relation).
     pub siread_promotions: u64,
-    /// Number of SIREAD lock-table partitions.
-    pub siread_partitions: usize,
     /// Lock targets currently resident in the SIREAD table.
     pub siread_locks: usize,
     /// Times any partition mutex was taken.
@@ -371,15 +367,13 @@ impl StatsReport {
     /// Events recorded since `baseline` — the race-free replacement for
     /// resetting counters at a warmup boundary (zeroing relaxed counters from
     /// a coordinator races with worker bumps and undercounts; subtracting two
-    /// snapshots never loses an event). Shape fields (shard/partition counts,
+    /// snapshots never loses an event). Shape fields (shard counts,
     /// group-commit flag) and gauges (`siread_locks`) keep `self`'s value.
     pub fn delta(&self, baseline: &StatsReport) -> StatsReport {
         macro_rules! sub {
             ($($f:ident),* $(,)?) => {
                 StatsReport {
                     $($f: self.$f.saturating_sub(baseline.$f),)*
-                    ssi_graph_shards: self.ssi_graph_shards,
-                    siread_partitions: self.siread_partitions,
                     siread_locks: self.siread_locks,
                     txn_id_shards: self.txn_id_shards,
                     wal_group_commit: self.wal_group_commit,
@@ -541,7 +535,7 @@ impl std::fmt::Display for StatsReport {
         writeln!(
             f,
             "ssi    : conflicts {}  dangerous {}  self-aborts {}  doomed {}  \
-             summary-aborts {}  safe-snapshots {}  summarized {}  graph-shards {}",
+             summary-aborts {}  safe-snapshots {}  summarized {}",
             self.ssi_conflicts_flagged,
             self.ssi_dangerous_structures,
             self.ssi_aborts_self,
@@ -549,16 +543,14 @@ impl std::fmt::Display for StatsReport {
             self.ssi_summary_aborts,
             self.ssi_safe_snapshots,
             self.ssi_summarized,
-            self.ssi_graph_shards,
         )?;
         writeln!(
             f,
-            "siread : acquisitions {}  promotions {}  resident {}  partitions {}  \
+            "siread : acquisitions {}  promotions {}  resident {}  \
              mutex-taken {}  contended {} ({:.3}%)",
             self.siread_acquisitions,
             self.siread_promotions,
             self.siread_locks,
-            self.siread_partitions,
             self.siread_partition_taken,
             self.siread_partition_contended,
             100.0 * self.siread_contention_rate(),
@@ -581,7 +573,7 @@ impl std::fmt::Display for StatsReport {
         writeln!(
             f,
             "txn    : begins {}  snapshot-hits {}  incremental {}  full-rebuilds {} \
-             (hit-rate {:.1}%)  txid-blocks {}  id-shards {}  wait-reports {}",
+             (hit-rate {:.1}%)  txid-blocks {}  txid-shards {}  wait-reports {}",
             self.txn_begins,
             self.txn_snapshot_hits,
             self.txn_snapshot_incremental,
@@ -774,7 +766,7 @@ impl Database {
         let db = Database {
             inner: Arc::new(DbInner {
                 catalog: Catalog::new(cache),
-                tm: TxnManager::with_config(&config.txn),
+                tm: TxnManager::new(),
                 ssi: RwLock::new(Arc::new(SsiManager::with_tracer(
                     config.ssi.clone(),
                     Arc::clone(&tracer),
@@ -1307,10 +1299,8 @@ impl Database {
             ssi_summary_aborts: s.summary_aborts.get(),
             ssi_safe_snapshots: s.safe_immediate.get() + s.safe_established.get(),
             ssi_summarized: s.summarized.get(),
-            ssi_graph_shards: ssi.graph_shards(),
             siread_acquisitions: siread.acquisitions.get(),
             siread_promotions: siread.promotions.get(),
-            siread_partitions: siread.partition_count(),
             siread_locks: parts.iter().map(|p| p.locks).sum(),
             siread_partition_taken: parts.iter().map(|p| p.taken).sum(),
             siread_partition_contended: parts.iter().map(|p| p.contended).sum(),

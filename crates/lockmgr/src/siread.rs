@@ -23,8 +23,8 @@
 //!
 //! ## Partitioning and lock order
 //!
-//! Like PostgreSQL's predicate lock table (16 lightweight-lock partitions), the
-//! target → holders map is hashed into [`SsiConfig::lock_partitions`] mutexes.
+//! Like PostgreSQL's predicate lock table, the target → holders map is hashed
+//! into [`PARTITIONS`] (16) mutexes.
 //! The hash keys on **relation and page only**, so a page target and every
 //! tuple on that page land in the *same* partition: the tuple→page promotion is
 //! a single-partition operation, and a writer's coarse-to-fine check chain
@@ -210,6 +210,10 @@ pub struct SireadLockManager {
     pub publish_ns: pgssi_common::Histogram,
 }
 
+/// Number of lock-table partitions (PostgreSQL's
+/// `NUM_PREDICATELOCK_PARTITIONS`).
+pub const PARTITIONS: usize = 16;
+
 /// SplitMix64 finalizer: cheap, well-mixed 64-bit hash for partition choice.
 #[inline]
 fn spread(mut x: u64) -> u64 {
@@ -221,12 +225,10 @@ fn spread(mut x: u64) -> u64 {
 }
 
 impl SireadLockManager {
-    /// New manager with the given promotion thresholds and partition count
-    /// (a `lock_partitions` of 0 is treated as 1).
+    /// New manager with the given promotion thresholds and batching bound.
     pub fn new(config: SsiConfig) -> SireadLockManager {
-        let n = config.lock_partitions.max(1);
         SireadLockManager {
-            partitions: (0..n)
+            partitions: (0..PARTITIONS)
                 .map(|_| PartitionSlot {
                     locks: Mutex::new(PartitionMap::default()),
                     taken: Counter::new(),
@@ -234,7 +236,7 @@ impl SireadLockManager {
                 })
                 .collect(),
             owners: RwLock::new(HashMap::new()),
-            filter: PresenceFilter::new(n),
+            filter: PresenceFilter::new(PARTITIONS),
             summarized_targets: AtomicU64::new(0),
             config,
             acquisitions: Counter::new(),
@@ -253,11 +255,6 @@ impl SireadLockManager {
         self.config.read_batch > 1
     }
 
-    /// Number of lock-table partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Partition index for `target`: relation targets hash by relation, page
     /// and tuple targets by (relation, page) — so a page and its tuples always
     /// share a partition.
@@ -266,7 +263,7 @@ impl SireadLockManager {
             LockTarget::Relation(r) => (r.0 as u64) << 32 | 0xFFFF_FFFF,
             LockTarget::Page(r, p) | LockTarget::Tuple(r, p, _) => (r.0 as u64) << 32 | p as u64,
         };
-        (spread(key) % self.partitions.len() as u64) as usize
+        (spread(key) % PARTITIONS as u64) as usize
     }
 
     /// Presence-filter address for `target`: its partition index plus a slot
@@ -1342,7 +1339,6 @@ mod tests {
     #[test]
     fn targets_spread_across_partitions() {
         let m = mgr();
-        assert_eq!(m.partition_count(), 16);
         let used: HashSet<usize> = (0..256)
             .map(|p| m.partition_of(&LockTarget::Page(R, p)))
             .collect();
@@ -1351,18 +1347,6 @@ mod tests {
             "pages hash to only {} partitions",
             used.len()
         );
-    }
-
-    #[test]
-    fn single_partition_config_still_works() {
-        let m = SireadLockManager::new(SsiConfig::single_partition());
-        assert_eq!(m.partition_count(), 1);
-        m.register_owner(1);
-        m.acquire(1, LockTarget::Tuple(R, 0, 5));
-        let chain = LockTarget::Tuple(R, 0, 5).check_chain();
-        assert_eq!(m.conflicting_holders(&chain, 2).owners, vec![1]);
-        m.release_owner(1);
-        assert_eq!(m.total_lock_count(), 0);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Model-based and concurrency tests for the partitioned SIREAD lock table.
 //!
-//! The partitioning refactor must be *behavior-preserving*: hashing targets
-//! across [`SsiConfig::lock_partitions`] mutexes may change performance, never
-//! detection semantics. Two checks enforce that here:
+//! Partitioning must be *behavior-preserving*: hashing targets across the
+//! table's 16 partition mutexes may change performance, never detection
+//! semantics. Two checks enforce that here:
 //!
 //! 1. a proptest model test drives randomized acquire / check / promote /
 //!    release / consolidate / split / DDL sequences against `RefTable`, a
-//!    deliberately naive single-map reimplementation of the pre-partitioning
-//!    semantics, asserting identical [`ConflictCheck`] results throughout (and
-//!    running the same sequence against a `lock_partitions = 1` manager, the
-//!    ablation configuration that must also match);
+//!    deliberately naive single-map reimplementation of the table's
+//!    semantics, asserting identical [`ConflictCheck`] results throughout;
 //! 2. a multi-thread stress test exercises concurrent acquisition-driven
 //!    promotion against `release_owner` / `consolidate_owner`, asserting the
 //!    table neither deadlocks nor leaks locks.
@@ -347,9 +345,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Test config: promotions fire quickly, the owner-wide cap never does (its
 /// busiest-relation tie-break is unspecified, so the model can't predict it).
-fn model_config(partitions: usize) -> SsiConfig {
+fn model_config() -> SsiConfig {
     SsiConfig {
-        lock_partitions: partitions,
         promote_tuple_threshold: 2,
         promote_page_threshold: 2,
         max_predicate_locks_per_txn: 10_000,
@@ -362,8 +359,8 @@ fn sorted_check(mut c: ConflictCheck) -> ConflictCheck {
     c
 }
 
-fn apply_and_compare(ops: &[Op], partitions: usize) {
-    let config = model_config(partitions);
+fn apply_and_compare(ops: &[Op]) {
+    let config = model_config();
     let mgr = SireadLockManager::new(config.clone());
     let mut model = RefTable::new(&config);
     for op in ops {
@@ -439,10 +436,7 @@ proptest! {
     fn partitioned_table_matches_single_map_model(
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        // Default 16-way partitioning…
-        apply_and_compare(&ops, 16);
-        // …and the lock_partitions = 1 ablation must both match the model.
-        apply_and_compare(&ops, 1);
+        apply_and_compare(&ops);
     }
 }
 
@@ -456,7 +450,6 @@ proptest! {
 #[test]
 fn concurrent_promotion_and_release_neither_deadlocks_nor_leaks() {
     let config = SsiConfig {
-        lock_partitions: 8,
         promote_tuple_threshold: 3,
         promote_page_threshold: 3,
         max_predicate_locks_per_txn: 64,

@@ -363,6 +363,16 @@ impl SessionPool {
         rows
     }
 
+    /// Whether session `sid` is idle: live, not running, in neither the ready
+    /// queue nor the think-time heap, and with no latched wake. An idle
+    /// session runs again only when something wakes it.
+    pub fn is_idle(&self, sid: SessionId) -> bool {
+        matches!(
+            self.inner.state.lock().slots.get(sid),
+            Some(Some(slot)) if slot.task.is_some() && !slot.queued && !slot.wake_pending
+        )
+    }
+
     /// Live-session count.
     pub fn live_sessions(&self) -> usize {
         self.inner.state.lock().live

@@ -134,6 +134,14 @@ pub struct SessionHandle {
     sid: SessionId,
 }
 
+impl SessionHandle {
+    /// Whether the server side of this session is idle
+    /// ([`SessionPool::is_idle`]): nothing queued, running or latched for it.
+    pub fn is_idle(&self) -> bool {
+        self.pool.is_idle(self.sid)
+    }
+}
+
 fn disconnected() -> Error {
     Error::Disconnected("session closed".to_string())
 }

@@ -319,6 +319,18 @@ fn blocked_worker_priority_wakes_the_lock_holder_session() {
     // Interactive transaction: holds the row lock across activations.
     assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
     assert_eq!(holder.roundtrip("PUT kv 7 71").unwrap(), "OK");
+    // The client has its reply, but the holder's session may still be queued
+    // or running (a wake latched by an earlier request reschedules it once
+    // more). Wait until it is idle, so the waiter's block below is what
+    // schedules it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while !holder.is_idle() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "holder session never went idle"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // A second session updates the same row and blocks on the holder's txid
     // (READ COMMITTED: after the holder commits, the update re-applies to the

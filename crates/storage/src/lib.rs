@@ -30,6 +30,6 @@ pub mod wal;
 pub use clog::{CommitLog, TxnStatus};
 pub use heap::{Heap, HeapTuple, LockOutcome, TUPLES_PER_PAGE};
 pub use io::BufferCache;
-pub use txn::{TxnManager, TxnStats, WaitObserver};
+pub use txn::{TxnConfig, TxnManager, TxnStats, WaitObserver};
 pub use visibility::{check_mvcc, OwnXids, SingleXid, VisCheck, VisEvent};
 pub use wal::{crc32, FileWalStore, Lsn, MemWalStore, WalStore, FRAME_HEADER};

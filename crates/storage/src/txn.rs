@@ -85,7 +85,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 use pgssi_common::sim::{self, Site, WakeReason};
 use pgssi_common::stats::Counter;
-use pgssi_common::{CommitSeqNo, Error, Result, Snapshot, TxnConfig, TxnId};
+use pgssi_common::{CommitSeqNo, Error, Result, Snapshot, TxnId};
 
 use crate::clog::{CommitLog, TxnStatus};
 
@@ -121,6 +121,40 @@ pub struct TxnStats {
 struct ShardAlloc {
     next: u64,
     end: u64,
+}
+
+/// Sharding of txid allocation: how many allocation shards and how many ids
+/// each shard reserves at a time. The engine always uses the default, which
+/// follows the machine; the storage tests pass odd shard and block counts to
+/// [`TxnManager::with_config`] and compare the result against an independent
+/// single-lock model.
+#[derive(Clone, Debug)]
+pub struct TxnConfig {
+    /// Number of txid-allocation shards. `begin` takes only its (thread-affine)
+    /// shard's mutex plus one id-striped active-set mutex, so begins on
+    /// different shards never contend.
+    pub id_shards: usize,
+    /// Size of the txid block a shard reserves from the global atomic frontier
+    /// when its current block runs out. Larger blocks mean fewer touches of
+    /// the shared cache line, but each partially-consumed block's unissued ids
+    /// ride along in snapshot `xip` lists (they must read as in-progress).
+    pub txid_block: u64,
+}
+
+impl Default for TxnConfig {
+    fn default() -> Self {
+        TxnConfig {
+            // Follow the machine: sharding only pays where threads actually
+            // run in parallel, while every reserved-but-unissued block id
+            // rides along in snapshot xip lists — so a single-core box gets
+            // one shard (near-zero xip padding) and a big box gets up to 8.
+            id_shards: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .clamp(1, 8),
+            txid_block: 16,
+        }
+    }
 }
 
 /// Callback invoked (while the waits mutex is held, just before the first
@@ -189,7 +223,8 @@ impl TxnManager {
         TxnManager::with_config(&TxnConfig::default())
     }
 
-    /// Fresh manager with explicit sharding knobs.
+    /// Fresh manager with explicit sharding (tests; the engine uses
+    /// [`TxnManager::new`]).
     pub fn with_config(config: &TxnConfig) -> TxnManager {
         let shards = config.id_shards.max(1);
         // More stripes than shards so id-keyed lookups rarely collide; the
@@ -844,7 +879,10 @@ mod tests {
 
     #[test]
     fn single_shard_config_still_works() {
-        let tm = TxnManager::with_config(&TxnConfig::single_shard());
+        let tm = TxnManager::with_config(&TxnConfig {
+            id_shards: 1,
+            ..TxnConfig::default()
+        });
         assert_eq!(tm.shard_count(), 1);
         let a = tm.begin_on_shard(7); // modulo: lands on shard 0
         let csn = tm.commit(&[a]);

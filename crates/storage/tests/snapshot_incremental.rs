@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pgssi_common::{TxnConfig, TxnId};
-use pgssi_storage::TxnManager;
+use pgssi_common::TxnId;
+use pgssi_storage::{TxnConfig, TxnManager};
 
 fn assert_equivalent(
     maintained: &pgssi_common::Snapshot,

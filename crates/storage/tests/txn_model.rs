@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pgssi_common::{CommitSeqNo, Snapshot, TxnConfig, TxnId};
-use pgssi_storage::{CommitLog, TxnManager, TxnStatus};
+use pgssi_common::{CommitSeqNo, Snapshot, TxnId};
+use pgssi_storage::{CommitLog, TxnConfig, TxnManager, TxnStatus};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
